@@ -33,19 +33,19 @@ def graph_fingerprint(graph: EntityGraph) -> str:
     profile edit) fails with a clear dataset-mismatch error instead of
     a wall of payload-digest mismatches.
     """
-    digest = hashlib.sha256()
-    for entity in sorted(graph.entities()):
-        types = ",".join(sorted(graph.types_of(entity)))
-        digest.update(f"E\t{entity}\t{types}\n".encode("utf-8"))
-    for source, target, rel in sorted(
-        graph.relationships(),
-        key=lambda item: (item[0], item[1], item[2].name,
-                          item[2].source_type, item[2].target_type),
-    ):
-        digest.update(
-            f"R\t{source}\t{target}\t{rel.name}\t{rel.source_type}"
-            f"\t{rel.target_type}\n".encode("utf-8")
-        )
+    lines = [
+        f"E\t{entity}\t{','.join(sorted(graph.types_of(entity)))}\n"
+        for entity in sorted(graph.entities())
+    ]
+    rows = sorted(
+        (source, target, rel.name, rel.source_type, rel.target_type)
+        for source, target, rel in graph.relationships()
+    )
+    lines.extend(
+        f"R\t{source}\t{target}\t{name}\t{source_type}\t{target_type}\n"
+        for source, target, name, source_type, target_type in rows
+    )
+    digest = hashlib.sha256("".join(lines).encode("utf-8"))
     return f"sha256:{digest.hexdigest()}"
 
 

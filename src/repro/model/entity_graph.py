@@ -12,12 +12,16 @@ The class maintains the aggregate statistics the scoring measures consume:
 * per-relationship-type edge counts — coverage non-key scoring;
 * per-type-pair edge totals — random-walk edge weights ``w_ij``;
 * per-entity typed adjacency — entropy scoring and tuple materialization.
+
+Relationship instances live in one insertion-order list.  The typed
+adjacency is built from it on first use: coverage-scored previews never
+read it, so a graph loaded only to answer them never pays for it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import (
     SchemaViolationError,
@@ -25,19 +29,29 @@ from ..exceptions import (
     UnknownRelationshipTypeError,
     UnknownTypeError,
 )
-from ..graph import DirectedMultigraph
 from .attributes import Direction, NonKeyAttribute
 from .ids import EntityId, RelationshipTypeId, TypeId
 from .mutation_log import MutationLog
+
+#: One relationship instance: ``(source, target, type)``.
+Relationship = Tuple[EntityId, EntityId, RelationshipTypeId]
+
+#: ``(entity, rel_type) -> multiset of neighbor entities``, one direction.
+_Adjacency = Dict[Tuple[EntityId, RelationshipTypeId], List[EntityId]]
+
+
+def _untyped(entity: EntityId) -> SchemaViolationError:
+    return SchemaViolationError(f"entity {entity!r} must belong to at least one type")
 
 
 class EntityGraph:
     """A typed directed multigraph of entities and relationships.
 
     Instances are usually constructed through
-    :class:`~repro.model.builder.EntityGraphBuilder` or loaded from a
-    :class:`~repro.store.triple_store.TripleStore`, but the mutation API
-    here is public and validating.
+    :class:`~repro.model.builder.EntityGraphBuilder`, loaded from a
+    :class:`~repro.store.triple_store.TripleStore`, or bulk-loaded with
+    :meth:`bulk_load`, but the mutation API here is public and
+    validating.
 
     Every successful mutation is recorded in :attr:`mutation_log` — the
     per-generation changelog of dirty key types and relationship types
@@ -48,15 +62,64 @@ class EntityGraph:
 
     def __init__(self, name: str = "entity-graph") -> None:
         self.name = name
-        self._graph = DirectedMultigraph()
         self._types_of: Dict[EntityId, Set[TypeId]] = {}
         self._entities_by_type: Dict[TypeId, Set[EntityId]] = {}
         self._edge_counts: Counter = Counter()  # RelationshipTypeId -> count
-        # (entity, rel_type) -> multiset of neighbor entities, per direction.
-        self._out: Dict[Tuple[EntityId, RelationshipTypeId], List[EntityId]] = {}
-        self._in: Dict[Tuple[EntityId, RelationshipTypeId], List[EntityId]] = {}
+        self._edges: List[Relationship] = []  # insertion order
+        # (outgoing, incoming) typed adjacency; None until first read.
+        self._adjacency: Optional[Tuple[_Adjacency, _Adjacency]] = None
         #: Per-generation changelog of what each mutation dirtied.
         self.mutation_log = MutationLog()
+
+    @classmethod
+    def bulk_load(
+        cls,
+        entities: Iterable[Tuple[EntityId, Iterable[TypeId]]],
+        relationships: Iterable[Relationship],
+        name: str = "entity-graph",
+    ) -> "EntityGraph":
+        """Build a graph from ``(entity, types)`` pairs and relationships.
+
+        The same graph as :meth:`add_entity` on every pair and then
+        :meth:`add_relationship` on every ``(source, target, rel_type)``
+        triple, in order: every entity and every edge is validated with
+        the same exceptions and messages, and the orders and
+        :attr:`generation` come out equal.  Only the mutation log
+        differs: it advances once, by the number of adds, and keeps an
+        empty window (as after
+        :meth:`~repro.model.mutation_log.MutationLog.fast_forward`),
+        since a freshly loaded graph has no earlier state to patch from.
+        """
+        graph = cls(name)
+        types_of = graph._types_of
+        entities_by_type = graph._entities_by_type
+        adds = 0
+        for entity, types in entities:
+            type_list = list(dict.fromkeys(types))
+            if not type_list:
+                raise _untyped(entity)
+            existing = types_of.setdefault(entity, set())
+            for type_name in type_list:
+                if type_name not in existing:
+                    existing.add(type_name)
+                    entities_by_type.setdefault(type_name, set()).add(entity)
+            adds += 1
+        edges = graph._edges
+        for source, target, rel_type in relationships:
+            source_types = types_of.get(source)
+            target_types = types_of.get(target)
+            if (
+                source_types is None
+                or target_types is None
+                or rel_type.source_type not in source_types
+                or rel_type.target_type not in target_types
+            ):
+                # Raises the exception add_relationship would.
+                graph._check_relationship(source, target, rel_type)
+            edges.append((source, target, rel_type))
+        graph._edge_counts.update(rel_type for _s, _t, rel_type in edges)
+        graph.mutation_log.fast_forward(adds + len(edges))
+        return graph
 
     @property
     def generation(self) -> int:
@@ -70,10 +133,7 @@ class EntityGraph:
         """Add an entity with one or more types (idempotent, types union)."""
         type_list = list(dict.fromkeys(types))
         if not type_list:
-            raise SchemaViolationError(
-                f"entity {entity!r} must belong to at least one type"
-            )
-        self._graph.add_node(entity)
+            raise _untyped(entity)
         existing = self._types_of.setdefault(entity, set())
         # First-seen order is the caller's list order (deterministic
         # across processes, unlike set iteration) — the schema graph,
@@ -141,6 +201,29 @@ class EntityGraph:
         ``rel_type.source_type`` and the target entity must bear
         ``rel_type.target_type``.
         """
+        self._check_relationship(source, target, rel_type)
+        # A relationship type first seen here adds a schema-graph edge
+        # (and possibly new candidate attributes): structural.
+        structural = rel_type not in self._edge_counts
+        self._edges.append((source, target, rel_type))
+        self._edge_counts[rel_type] += 1
+        if self._adjacency is not None:
+            outgoing, incoming = self._adjacency
+            outgoing.setdefault((source, rel_type), []).append(target)
+            incoming.setdefault((target, rel_type), []).append(source)
+        # Instance counts feed the non-key scores of both endpoint types
+        # (γ appears in Γ_src as OUT and in Γ_tgt as IN): they are the
+        # key types this mutation dirties.
+        self.mutation_log.record(
+            key_types=(rel_type.source_type, rel_type.target_type),
+            rel_types=(rel_type,),
+            structural=structural,
+        )
+
+    def _check_relationship(
+        self, source: EntityId, target: EntityId, rel_type: RelationshipTypeId
+    ) -> None:
+        """Raise unless both endpoints exist and bear ``rel_type``'s types."""
         if source not in self._types_of:
             raise UnknownEntityError(source)
         if target not in self._types_of:
@@ -155,21 +238,6 @@ class EntityGraph:
                 f"target {target!r} lacks type {rel_type.target_type!r} "
                 f"required by relationship type {rel_type}"
             )
-        # A relationship type first seen here adds a schema-graph edge
-        # (and possibly new candidate attributes): structural.
-        structural = rel_type not in self._edge_counts
-        self._graph.add_edge(source, target, rel_type)
-        self._edge_counts[rel_type] += 1
-        self._out.setdefault((source, rel_type), []).append(target)
-        self._in.setdefault((target, rel_type), []).append(source)
-        # Instance counts feed the non-key scores of both endpoint types
-        # (γ appears in Γ_src as OUT and in Γ_tgt as IN): they are the
-        # key types this mutation dirties.
-        self.mutation_log.record(
-            key_types=(rel_type.source_type, rel_type.target_type),
-            rel_types=(rel_type,),
-            structural=structural,
-        )
 
     def relationship_types(self) -> List[RelationshipTypeId]:
         """All relationship types with at least one edge, first-seen order."""
@@ -184,27 +252,46 @@ class EntityGraph:
     @property
     def edge_count(self) -> int:
         """Number of relationship edges."""
-        return self._graph.edge_count
+        return len(self._edges)
 
-    def relationships(self) -> Iterator[Tuple[EntityId, EntityId, RelationshipTypeId]]:
-        """Yield every relationship instance as ``(source, target, type)``."""
-        for source, target, _key, label in self._graph.edges():
-            yield source, target, label
+    def relationships(self) -> Iterator[Relationship]:
+        """Every relationship instance as ``(source, target, type)``.
+
+        Instances come in insertion order, parallel edges included.
+        """
+        return iter(self._edges)
 
     # ------------------------------------------------------------------
     # Typed adjacency (materialization + entropy scoring)
     # ------------------------------------------------------------------
+    def _typed_adjacency(self) -> Tuple[_Adjacency, _Adjacency]:
+        """The ``(outgoing, incoming)`` adjacency, built on first use.
+
+        Built completely before it is published, so a concurrent reader
+        sees either no adjacency or a whole one; from then on
+        :meth:`add_relationship` keeps it current.
+        """
+        adjacency = self._adjacency
+        if adjacency is None:
+            outgoing: _Adjacency = {}
+            incoming: _Adjacency = {}
+            for source, target, rel_type in self._edges:
+                outgoing.setdefault((source, rel_type), []).append(target)
+                incoming.setdefault((target, rel_type), []).append(source)
+            adjacency = self._adjacency = (outgoing, incoming)
+        return adjacency
+
     def targets(self, entity: EntityId, rel_type: RelationshipTypeId) -> List[EntityId]:
         """Entities reached from ``entity`` via outgoing ``rel_type`` edges."""
         if entity not in self._types_of:
             raise UnknownEntityError(entity)
-        return list(self._out.get((entity, rel_type), ()))
+        return list(self._typed_adjacency()[0].get((entity, rel_type), ()))
 
     def sources(self, entity: EntityId, rel_type: RelationshipTypeId) -> List[EntityId]:
         """Entities reaching ``entity`` via incoming ``rel_type`` edges."""
         if entity not in self._types_of:
             raise UnknownEntityError(entity)
-        return list(self._in.get((entity, rel_type), ()))
+        return list(self._typed_adjacency()[1].get((entity, rel_type), ()))
 
     def attribute_value(
         self, entity: EntityId, attribute: NonKeyAttribute

@@ -107,20 +107,18 @@ def restore_snapshot(record: Dict[str, Any]) -> EntityGraph:
     if not isinstance(name, str):
         raise ReplicationError("snapshot 'name' must be a string")
 
-    graph = EntityGraph(name=name)
     try:
-        for entry in record.get("entities", ()):
-            entity, indexes = entry
-            graph.add_entity(entity, [type_order[i] for i in indexes])
-        for entry in record.get("relationships", ()):
-            source, target, rel_name, source_type, target_type = entry
-            graph.add_relationship(
-                source,
-                target,
-                RelationshipTypeId(
-                    name=rel_name, source_type=source_type, target_type=target_type
-                ),
+        entities = (
+            (entity, [type_order[i] for i in indexes])
+            for entity, indexes in record.get("entities", ())
+        )
+        relationships = (
+            (source, target, RelationshipTypeId(rel_name, source_type, target_type))
+            for source, target, rel_name, source_type, target_type in record.get(
+                "relationships", ()
             )
+        )
+        graph = EntityGraph.bulk_load(entities, relationships, name=name)
     except (TypeError, ValueError, IndexError, KeyError, ModelError) as exc:
         raise ReplicationError(f"malformed snapshot content: {exc}") from exc
 

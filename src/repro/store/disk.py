@@ -396,14 +396,15 @@ class DiskGraphStore:
                 f"{self._path}: {kind} store file ({file_size} bytes on "
                 f"disk, header promises {total_size})"
             )
+        fingerprint_bytes = fingerprint_raw.rstrip(b"\x00")
         try:
-            fingerprint = fingerprint_raw.rstrip(b"\x00").decode("ascii")
+            fingerprint = fingerprint_bytes.decode("ascii")
         except UnicodeDecodeError:
             fingerprint = ""
         if not _FINGERPRINT_RE.match(fingerprint):
             raise DiskStoreError(
                 f"{self._path}: malformed fingerprint field "
-                f"{fingerprint_raw.rstrip(b'x00')!r}"
+                f"{fingerprint_bytes!r}"
             )
         self.fingerprint = fingerprint
         self._sections: Dict[str, Tuple[int, int]] = {}
@@ -466,26 +467,62 @@ class DiskGraphStore:
             For an out-of-range id or a dangling dictionary offset.
         """
         if not 0 <= string_id < self.dict_count:
-            raise DiskStoreError(
-                f"{self._path}: string id {string_id} is outside the "
-                f"{self.dict_count}-entry dictionary"
-            )
-        offsets = self._section("dict_offsets")
+            raise self._outside_dictionary(string_id)
+        # Plain ints and bytes only: a view into the mapping held by a
+        # raising frame would make close() fail with BufferError.
+        start, end = self._section("dict_offsets")[string_id:string_id + 2].tolist()
         blob_offset, blob_length = self._sections["dict_blob"]
-        start, end = offsets[string_id], offsets[string_id + 1]
         if not 0 <= start <= end <= blob_length:
-            raise DiskStoreError(
-                f"{self._path}: dangling dictionary offset for string "
-                f"{string_id} ([{start}, {end}) in a {blob_length}-byte blob)"
-            )
+            raise self._dangling(string_id, start, end, blob_length)
+        encoded = bytes(self._view[blob_offset + start:blob_offset + end])
         try:
-            return bytes(
-                self._view[blob_offset + start:blob_offset + end]
-            ).decode("utf-8")
+            return encoded.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DiskStoreError(
-                f"{self._path}: string {string_id} is not valid UTF-8: {exc}"
-            ) from exc
+            raise self._not_utf8(string_id, exc) from exc
+
+    def _strings(self) -> List[str]:
+        """The whole dictionary, decoded once, with :meth:`string`'s checks."""
+        offsets = self._section("dict_offsets").tolist()
+        blob_offset, blob_length = self._sections["dict_blob"]
+        blob = bytes(self._view[blob_offset:blob_offset + blob_length])
+        strings = []
+        for string_id in range(self.dict_count):
+            start, end = offsets[string_id], offsets[string_id + 1]
+            if not 0 <= start <= end <= blob_length:
+                raise self._dangling(string_id, start, end, blob_length)
+            try:
+                strings.append(blob[start:end].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise self._not_utf8(string_id, exc) from exc
+        return strings
+
+    def _dangling(
+        self, string_id: int, start: int, end: int, blob_length: int
+    ) -> DiskStoreError:
+        return DiskStoreError(
+            f"{self._path}: dangling dictionary offset for string "
+            f"{string_id} ([{start}, {end}) in a {blob_length}-byte blob)"
+        )
+
+    def _not_utf8(self, string_id: int, exc: UnicodeDecodeError) -> DiskStoreError:
+        return DiskStoreError(
+            f"{self._path}: string {string_id} is not valid UTF-8: {exc}"
+        )
+
+    def _outside_dictionary(self, string_id: int) -> DiskStoreError:
+        return DiskStoreError(
+            f"{self._path}: string id {string_id} is outside the "
+            f"{self.dict_count}-entry dictionary"
+        )
+
+    def _decoded_section(self, strings: List[str], name: str) -> List[str]:
+        """Section ``name``'s string ids looked up in decoded ``strings``."""
+        ids = self._section(name).tolist()
+        try:
+            return [strings[string_id] for string_id in ids]
+        except IndexError:
+            bad = next(i for i in ids if i >= self.dict_count)
+            raise self._outside_dictionary(bad) from None
 
     def string_id(self, text: str) -> Optional[int]:
         """The dictionary id of ``text`` (binary search), or ``None``."""
@@ -716,8 +753,11 @@ class DiskGraphStore:
         order, and the mutation log is fast-forwarded to the stored
         generation — exactly the
         :func:`~repro.replicate.snapshot.restore_snapshot` contract.
-        With ``verify`` (the default) the materialized graph's
-        fingerprint is recomputed and checked against the header.
+        The dictionary and each section are decoded once, and one
+        :meth:`~repro.model.entity_graph.EntityGraph.bulk_load` replays
+        them with every per-entity and per-edge check.  With ``verify``
+        (the default) the materialized graph's fingerprint is recomputed
+        and checked against the header.
 
         Raises
         ------
@@ -727,59 +767,47 @@ class DiskGraphStore:
         """
         from ..datasets.loader import graph_fingerprint
 
-        graph = EntityGraph(name=self.name)
-        type_order_view = self._section("type_order")
-        type_names = [self.string(type_order_view[i]) for i in range(self.type_count)]
-        entity_ids = self._section("entity_ids")
-        type_offsets = self._section("entity_type_offsets")
-        type_indexes = self._section("entity_type_indexes")
-        index_count = self._sections["entity_type_indexes"][1] // 8
+        strings = self._strings()
+        type_names = self._decoded_section(strings, "type_order")
+        entity_names = self._decoded_section(strings, "entity_ids")
+        type_offsets = self._section("entity_type_offsets").tolist()
+        type_indexes = self._section("entity_type_indexes").tolist()
+        entities = []
+        for row, entity in enumerate(entity_names):
+            start, end = type_offsets[row], type_offsets[row + 1]
+            if not 0 <= start <= end <= len(type_indexes):
+                raise DiskStoreError(
+                    f"{self._path}: entity {row} type slice "
+                    f"[{start}, {end}) overruns the index section"
+                )
+            ranks = type_indexes[start:end]
+            try:
+                entities.append((entity, [type_names[rank] for rank in ranks]))
+            except IndexError:
+                rank = next(r for r in ranks if r >= self.type_count)
+                raise DiskStoreError(
+                    f"{self._path}: entity {row} references type "
+                    f"rank {rank} of {self.type_count}"
+                ) from None
+        table = self._decoded_section(strings, "reltype_table")
+        reltypes = [
+            RelationshipTypeId(*fields)
+            for fields in zip(table[0::3], table[1::3], table[2::3])
+        ]
+        rows = self._section("relationships").tolist()
+        cells = iter(rows)
+        relationships = (
+            (entity_names[source_row], entity_names[target_row], reltypes[rank])
+            for source_row, rank, target_row in zip(cells, cells, cells)
+        )
         try:
-            for row in range(self.entity_count):
-                start, end = type_offsets[row], type_offsets[row + 1]
-                if not 0 <= start <= end <= index_count:
-                    raise DiskStoreError(
-                        f"{self._path}: entity {row} type slice "
-                        f"[{start}, {end}) overruns the index section"
-                    )
-                types = []
-                for i in range(start, end):
-                    rank = type_indexes[i]
-                    if rank >= self.type_count:
-                        raise DiskStoreError(
-                            f"{self._path}: entity {row} references type "
-                            f"rank {rank} of {self.type_count}"
-                        )
-                    types.append(type_names[rank])
-                graph.add_entity(self.string(entity_ids[row]), types)
-            reltype_view = self._section("reltype_table")
-            reltypes = [
-                RelationshipTypeId(
-                    name=self.string(reltype_view[3 * i]),
-                    source_type=self.string(reltype_view[3 * i + 1]),
-                    target_type=self.string(reltype_view[3 * i + 2]),
-                )
-                for i in range(self.reltype_count)
-            ]
-            rel_view = self._section("relationships")
-            for i in range(self.relationship_count):
-                source_row, rank, target_row = rel_view[3 * i:3 * i + 3]
-                if source_row >= self.entity_count or target_row >= self.entity_count:
-                    raise DiskStoreError(
-                        f"{self._path}: relationship {i} references entity "
-                        f"row {max(source_row, target_row)} of "
-                        f"{self.entity_count}"
-                    )
-                if rank >= self.reltype_count:
-                    raise DiskStoreError(
-                        f"{self._path}: relationship {i} references "
-                        f"relationship type {rank} of {self.reltype_count}"
-                    )
-                graph.add_relationship(
-                    self.string(entity_ids[source_row]),
-                    self.string(entity_ids[target_row]),
-                    reltypes[rank],
-                )
+            graph = EntityGraph.bulk_load(
+                entities, relationships, name=strings[self._name_id]
+            )
+        except IndexError:
+            # A row id out of range: name the first such row.
+            self._check_relationship_rows(rows)
+            raise
         except ModelError as exc:
             raise DiskStoreError(
                 f"{self._path}: stored graph violates the data model: {exc}"
@@ -802,6 +830,22 @@ class DiskGraphStore:
                 f"replays to: {exc}"
             ) from exc
         return graph
+
+    def _check_relationship_rows(self, rows: List[int]) -> None:
+        """Raise for the first relationship row with an out-of-range id."""
+        for i in range(self.relationship_count):
+            source_row, rank, target_row = rows[3 * i:3 * i + 3]
+            if source_row >= self.entity_count or target_row >= self.entity_count:
+                raise DiskStoreError(
+                    f"{self._path}: relationship {i} references entity "
+                    f"row {max(source_row, target_row)} of "
+                    f"{self.entity_count}"
+                )
+            if rank >= self.reltype_count:
+                raise DiskStoreError(
+                    f"{self._path}: relationship {i} references "
+                    f"relationship type {rank} of {self.reltype_count}"
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle

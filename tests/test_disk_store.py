@@ -16,6 +16,7 @@ Three properties carry the module:
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import pytest
@@ -259,24 +260,39 @@ def _short_section(data):
     struct.pack_into("<QQ", data, entry, offset, max(0, length - 8))
 
 
+#: Each damaged-header shape and the diagnostic it must raise.
+_DAMAGED_HEADERS = [
+    (_truncate_half, "truncated store file"),
+    (_truncate_header, "truncated header"),
+    (_bad_magic, "bad magic"),
+    (_bad_version, "unsupported store version"),
+    (_oversized, "oversized store file"),
+    (_garbage_fingerprint, re.escape("malformed fingerprint field b'md5:garbage'") + "$"),
+    (_dangling_section, "falls outside the file"),
+    (_short_section, "header counts imply"),
+]
+
+
+def _section_bounds(data, name):
+    entry = _SECTION_TABLE + SECTION_NAMES.index(name) * 16
+    return struct.unpack_from("<QQ", data, entry)
+
+
+def _set_u64(data, section, index, value):
+    """Overwrite u64 number ``index`` of ``section`` in place."""
+    offset, _length = _section_bounds(data, section)
+    struct.pack_into("<Q", data, offset + 8 * index, value)
+
+
 class TestCorruption:
     @pytest.mark.parametrize(
-        "corrupt",
-        [
-            _truncate_half,
-            _truncate_header,
-            _bad_magic,
-            _bad_version,
-            _oversized,
-            _garbage_fingerprint,
-            _dangling_section,
-            _short_section,
-        ],
-        ids=lambda f: f.__name__.lstrip("_"),
+        "corrupt, diagnostic",
+        _DAMAGED_HEADERS,
+        ids=[corrupt.__name__.lstrip("_") for corrupt, _ in _DAMAGED_HEADERS],
     )
-    def test_damaged_headers_fail_to_open(self, fig1_store, corrupt):
+    def test_damaged_headers_fail_to_open(self, fig1_store, corrupt, diagnostic):
         _rewrite(fig1_store, corrupt)
-        with pytest.raises(DiskStoreError):
+        with pytest.raises(DiskStoreError, match=diagnostic):
             open_store(fig1_store)
 
     def test_empty_and_missing_files_raise(self, tmp_path):
@@ -319,6 +335,125 @@ class TestCorruption:
         with open_store(fig1_store) as store:
             with pytest.raises(DiskStoreError, match="dangling dictionary"):
                 store.string(0)
+
+    # Each check inside entity_graph(), one damaged section apiece.
+    def _materialize(self, path, mutate):
+        _rewrite(path, mutate)
+        with open_store(path) as store:
+            return store.entity_graph()
+
+    def test_type_slice_overrunning_the_index_section(self, fig1_store):
+        def overrun(data):
+            _, length = _section_bounds(data, "entity_type_indexes")
+            _set_u64(data, "entity_type_offsets", 1, length // 8 + 5)
+
+        with pytest.raises(
+            DiskStoreError, match=r"entity 0 type slice \[0, \d+\) overruns"
+        ):
+            self._materialize(fig1_store, overrun)
+
+    def test_type_rank_beyond_the_type_count(self, fig1_store):
+        graph = build_fig1_graph()
+        types = len(graph.entity_types())
+
+        def bad_rank(data):
+            _set_u64(data, "entity_type_indexes", 0, types + 7)
+
+        with pytest.raises(
+            DiskStoreError,
+            match=f"entity 0 references type rank {types + 7} of {types}$",
+        ):
+            self._materialize(fig1_store, bad_rank)
+
+    def test_relationship_row_beyond_the_entity_count(self, fig1_store):
+        entities = build_fig1_graph().entity_count
+
+        def bad_row(data):
+            _set_u64(data, "relationships", 3 * 2 + 2, entities + 3)
+
+        with pytest.raises(
+            DiskStoreError,
+            match=f"relationship 2 references entity row {entities + 3} "
+            f"of {entities}$",
+        ):
+            self._materialize(fig1_store, bad_row)
+
+    def test_relationship_type_rank_beyond_the_count(self, fig1_store):
+        reltypes = len(build_fig1_graph().relationship_types())
+
+        def bad_rank(data):
+            _set_u64(data, "relationships", 1, reltypes + 2)
+
+        with pytest.raises(
+            DiskStoreError,
+            match=f"relationship 0 references relationship type "
+            f"{reltypes + 2} of {reltypes}$",
+        ):
+            self._materialize(fig1_store, bad_rank)
+
+    def test_source_lacking_the_source_type(self, fig1_store):
+        """The per-edge schema check runs on every stored relationship."""
+        graph = build_fig1_graph()
+        entities = list(graph.entities())
+        _source, _target, rel = next(iter(graph.relationships()))
+        # Re-point the first relationship's source at an entity of
+        # another type.
+        impostor = next(
+            entity for entity in entities
+            if rel.source_type not in graph.types_of(entity)
+        )
+
+        def retype(data):
+            _set_u64(data, "relationships", 0, entities.index(impostor))
+
+        with pytest.raises(DiskStoreError) as info:
+            self._materialize(fig1_store, retype)
+        message = str(info.value)
+        assert "stored graph violates the data model" in message
+        assert (
+            f"source {impostor!r} lacks type {rel.source_type!r} "
+            f"required by relationship type {rel}"
+        ) in message
+
+    def test_generation_below_the_replayed_adds(self, fig1_store):
+        graph = build_fig1_graph()
+        adds = graph.entity_count + graph.edge_count
+        generation_offset = struct.calcsize("<8sII") + 8
+
+        def rewind(data):
+            struct.pack_into("<Q", data, generation_offset, adds - 1)
+
+        with pytest.raises(
+            DiskStoreError,
+            match=f"stored generation {adds - 1} is behind the {adds} mutations",
+        ):
+            self._materialize(fig1_store, rewind)
+
+    def test_invalid_utf8_in_the_dictionary(self, fig1_store):
+        def garble(data):
+            offset, _length = _section_bounds(data, "dict_blob")
+            data[offset] = 0xFF
+
+        with pytest.raises(DiskStoreError, match="string 0 is not valid UTF-8"):
+            self._materialize(fig1_store, garble)
+
+    def test_dangling_dictionary_offset_fails_materialization(self, fig1_store):
+        def dangle(data):
+            _set_u64(data, "dict_offsets", 1, 1 << 40)
+
+        with pytest.raises(
+            DiskStoreError, match="dangling dictionary offset for string 0 "
+        ):
+            self._materialize(fig1_store, dangle)
+
+    def test_the_checks_run_with_verify_off(self, fig1_store):
+        def bad_rank(data):
+            _set_u64(data, "relationships", 1, 10**6)
+
+        _rewrite(fig1_store, bad_rank)
+        with open_store(fig1_store) as store:
+            with pytest.raises(DiskStoreError, match="relationship 0 references"):
+                store.entity_graph(verify=False)
 
     def test_out_of_range_string_id_raises(self, fig1_store):
         with open_store(fig1_store) as store:

@@ -204,6 +204,8 @@ class TestSnapshot:
             lambda r: r.update(generation="ten"),
             lambda r: r.pop("type_order"),
             lambda r: r.update(relationships=[["too", "short"]]),
+            # A generation behind the adds the restore replays.
+            lambda r: r.update(generation=1),
         ],
     )
     def test_malformed_snapshots_raise(self, corrupt):
