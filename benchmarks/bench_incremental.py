@@ -7,7 +7,8 @@ scratch.  The delta pipeline instead consumes the entity graph's
 :class:`~repro.model.mutation_log.MutationLog`: scoring contexts and
 candidate pools are patched in O(delta), the engine evicts only memo
 entries whose key-type dependency set intersects the dirty types, and
-allocation profiles are rebuilt per affected subset only.
+the cached clique enumerations survive.  An evicted point is re-scored
+by one batched kernel call over its whole clique group.
 
 Two legs on the music domain (the largest efficiency-experiment domain),
 at the paper's expensive tight ``d=3`` radius:
@@ -66,8 +67,8 @@ def least_connected_type(context) -> str:
     """The eligible type in the fewest qualifying k-subsets.
 
     Re-enumerates the ``(K, D, MODE)`` clique group exactly the way the
-    engine does, so the count reflects how many allocation profiles a
-    mutation of that type dirties.
+    engine does, so the count reflects how many qualifying subsets a
+    mutation of that type touches.
     """
     distance = DistanceConstraint.from_mode(D, MODE)
     oracle = context.schema.distance_oracle()

@@ -2,11 +2,11 @@
 
 Sizing a preview means exploring the ``(k, n, d)`` space — the paper's
 Fig. 9 grids.  The naive way re-runs full discovery per point; the
-engine computes the Apriori compatibility cliques and per-subset
-allocation profiles once per ``(k, d, mode)`` group, answers every ``n``
-from cached prefix scores, and memoizes results so a repeated sweep is
-free.  This example runs the same grid both ways on a built-in domain,
-checks the results agree, and prints the timings and cache counters.
+engine enumerates the Apriori compatibility cliques once per
+``(k, d, mode)`` group, answers every ``n`` with one batched kernel call
+over them, and memoizes results so a repeated sweep is free.  This
+example runs the same grid both ways on a built-in domain, checks the
+results agree, and prints the timings and cache counters.
 
 Run:  PYTHONPATH=src python examples/engine_sweep.py
 """

@@ -48,9 +48,10 @@ class AllocationProfile:
     ``j`` extra candidates beyond the mandatory top-1 per table
     (``cum[0]`` is the top-1-only score).  ``cap`` records the bound the
     profile was built with (None = run to exhaustion): reads beyond a
-    finite ``cap`` would silently under-allocate, so callers check
-    :meth:`covers` first.  Prefix reads reproduce the incremental
-    allocation bit-for-bit because floats accumulate in pop order.
+    finite ``cap`` would silently under-allocate, so callers read at
+    most the budget they built for.  Prefix reads reproduce the
+    incremental allocation bit-for-bit because floats accumulate in pop
+    order.
     """
 
     __slots__ = ("keys", "indices", "picks", "cum", "cap")
@@ -68,10 +69,6 @@ class AllocationProfile:
         self.picks = picks
         self.cum = cum
         self.cap = cap
-
-    def covers(self, extra_cap: int) -> bool:
-        """Whether the profile is exact for ``extra_cap`` merge slots."""
-        return self.cap is None or extra_cap <= self.cap
 
     def score_at(self, extra_cap: int) -> float:
         """Preview score with at most ``extra_cap`` merge-filled slots."""

@@ -11,13 +11,14 @@ sub-plans out of per-query execution:
 * **Result memoization** — :class:`DiscoveryResult`\\ s are cached per
   ``(generation, query)``, so repeated queries — the common case under
   preview-serving traffic — are O(1);
-* **Sweep state reuse** — for distance-constrained (tight/diverse)
-  queries answered by the Apriori algorithm, the compatibility k-cliques
-  and the per-subset k-way-merge *allocation profiles* depend only on
-  ``(k, d, mode)``, not on ``n``.  The engine computes them once and
-  answers every ``n`` along a Fig. 9-style sweep by reading a prefix of
-  each profile's cumulative-score array — byte-identical results to a
-  fresh :func:`apriori_discover` call at a fraction of the cost;
+* **Clique-group reuse** — for distance-constrained (tight/diverse)
+  queries answered by the Apriori algorithm, the qualifying key subsets
+  (compatibility k-cliques) depend only on ``(k, d, mode)``, not on
+  ``n``.  The engine enumerates each group once and answers every point
+  of it — alone or along a Fig. 9-style sweep — with one batched kernel
+  call over the cached subsets plus one allocation profile for the
+  winner: byte-identical results to a fresh :func:`apriori_discover`
+  call, without its clique enumeration;
 * **Invalidation** — when constructed over a generation-tracked source
   (:class:`~repro.ext.incremental.IncrementalEntityGraph`), the caches
   are synchronized with the source's ``generation`` counter.  A source
@@ -26,16 +27,15 @@ sub-plans out of per-query execution:
   key-type dependency set of its :class:`DiscoveryResult`, and a
   non-structural mutation evicts only the entries whose dependency set
   intersects the dirty types — untouched sweep points survive the
-  mutation, qualifying-subset enumerations are kept outright (they
-  depend only on schema structure), and allocation profiles are patched
-  per subset instead of rebuilt wholesale.  Structural mutations (new
+  mutation, and qualifying-subset enumerations are kept outright (they
+  depend only on schema structure).  Structural mutations (new
   entity/relationship types), unknown baselines and non-delta-capable
   scorer pairs (random walk, entropy) fall back to the full cache drop,
   so the fast path is never trusted beyond what the scorers guarantee.
 
 Algorithms resolve through :data:`~repro.core.registry.DISCOVERY_ALGORITHMS`;
 a third-party algorithm registered there is immediately servable by the
-engine with full memoization (though without the Apriori sweep fast path).
+engine with full memoization (though without the clique-group reuse).
 """
 
 from __future__ import annotations
@@ -50,11 +50,7 @@ from ..core.brute_force import brute_force_discover as _builtin_brute_force
 from ..core.dynamic_prog import (
     _registered_dynamic_programming as _builtin_dynamic_programming,
 )
-from ..core.candidates import (
-    AllocationProfile,
-    build_allocation_profile,
-    eligible_key_types,
-)
+from ..core.candidates import build_allocation_profile, eligible_key_types
 from ..core.constraints import (
     DistanceConstraint,
     SizeConstraint,
@@ -75,8 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, keeps jobs=1 lean
 
 logger = logging.getLogger(__name__)
 
-_NEG_INF = float("-inf")
-
 #: Built-in runners that provably read only *eligible* types' scores
 #: (their enumerations all start from ``eligible_key_types``); their
 #: results therefore depend on the eligible set, not every type.
@@ -86,8 +80,6 @@ _ELIGIBLE_ONLY_RUNNERS = (
     _builtin_brute_force,
     _builtin_dynamic_programming,
 )
-
-
 
 
 class PreviewEngine:
@@ -156,13 +148,6 @@ class PreviewEngine:
         #: (k, d, mode) -> union of the group's subset types (the
         #: dependency set of every result answered from that group).
         self._group_deps: Dict[Tuple, FrozenSet[TypeId]] = {}
-        #: (k, d, mode) -> per-subset allocation profiles, positionally
-        #: aligned with the subsets.
-        self._profiles: Dict[Tuple, List[Optional[AllocationProfile]]] = {}
-        #: (k, d, mode) -> subset positions whose profiles must be
-        #: rebuilt against the patched pool before the next read (lazily
-        #: applied by :meth:`_apriori_profiles`).
-        self._stale_profiles: Dict[Tuple, set] = {}
         #: Cached worker-pool snapshot + the types dirtied since it was
         #: projected (refreshed in O(delta) on the next parallel build).
         self._snapshot = None
@@ -196,8 +181,8 @@ class PreviewEngine:
         self._kernel_batches = 0
         self._kernel_subsets = 0
         #: Planner decisions made on behalf of this engine's queries
-        #: and sweep prewarms (deltas of the process-wide counters, the
-        #: same attribution scheme as the kernel counters above).
+        #: (deltas of the process-wide counters, the same attribution
+        #: scheme as the kernel counters above).
         self._plan_decisions: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -218,14 +203,12 @@ class PreviewEngine:
         return self._static_context
 
     def invalidate(self) -> None:
-        """Drop every cached result and sweep artifact (full reset)."""
+        """Drop every cached result and clique group (full reset)."""
         self._evicted += len(self._results)
         self._results.clear()
         self._result_deps.clear()
         self._subsets.clear()
         self._group_deps.clear()
-        self._profiles.clear()
-        self._stale_profiles.clear()
         self._snapshot = None
         self._snapshot_dirty.clear()
         self._eligible_deps = None
@@ -242,21 +225,25 @@ class PreviewEngine:
         type-scoped one (mutation-changelog sources, delta-capable
         scorers) evicts only entries whose dependency set intersects the
         dirty types.  ``invalidations`` counts the *full* cache drops
-        only.  ``kernel_backend`` names the active scoring-kernel
-        backend and ``kernel_batches``/``kernel_subsets`` count the
-        batched kernel dispatches (and subsets they scored) made on
-        behalf of this engine.  ``plan_mode`` names the effective
-        execution-planner mode and ``plan_decisions`` breaks down the
-        planner decisions (serial/sharded/batched-sweep; model-warm vs
-        fallback) attributed to this engine's queries and sweep
-        prewarms (see :mod:`repro.plan`).
+        only.  ``profile_groups`` counts the cached ``(k, d, mode)``
+        qualifying-subset groups: the pruning state every tight/diverse
+        point of a group shares, whatever its ``n``.  (The name dates
+        from when sweeps also cached per-subset allocation profiles;
+        benchmark records read it under this name.)  ``kernel_backend``
+        names the active scoring-kernel backend and
+        ``kernel_batches``/``kernel_subsets`` count the batched kernel
+        dispatches (and subsets they scored) made on behalf of this
+        engine.  ``plan_mode`` names the effective execution-planner
+        mode and ``plan_decisions`` breaks down the planner decisions
+        (serial/sharded; model-warm vs fallback) attributed to this
+        engine's queries (see :mod:`repro.plan`).
         """
         self._sync_generation()
         return {
             "hits": self._hits,
             "misses": self._misses,
             "results": len(self._results),
-            "profile_groups": len(self._profiles),
+            "profile_groups": len(self._subsets),
             "generation": self._cache_generation,
             "invalidations": self._invalidations,
             "retained": self._retained,
@@ -304,10 +291,8 @@ class PreviewEngine:
         Memo entries whose dependency set intersects ``dirty`` are
         dropped; the rest — results over provably untouched scores —
         survive.  Qualifying-subset enumerations depend only on schema
-        structure and are kept outright; allocation profiles containing
-        a dirty type are marked for lazy per-subset rebuild; the worker
-        snapshot accumulates the dirty set for its next O(delta)
-        refresh.
+        structure and are kept outright; the worker snapshot
+        accumulates the dirty set for its next O(delta) refresh.
         """
         stale_keys = [
             key for key, deps in self._result_deps.items() if deps & dirty
@@ -317,17 +302,6 @@ class PreviewEngine:
             del self._result_deps[key]
         self._evicted += len(stale_keys)
         self._retained += len(self._results)
-        for group_key in self._profiles:
-            subsets = self._subsets.get(group_key)
-            if subsets is None:
-                continue
-            stale = {
-                position
-                for position, keys in enumerate(subsets)
-                if not dirty.isdisjoint(keys)
-            }
-            if stale:
-                self._stale_profiles.setdefault(group_key, set()).update(stale)
         if self._snapshot is not None:
             self._snapshot_dirty.update(dirty)
 
@@ -407,6 +381,12 @@ class PreviewEngine:
     ) -> List[Optional[DiscoveryResult]]:
         """Answer a batch of queries, sharing state across points.
 
+        Every point runs exactly as :meth:`run` would: points of one
+        ``(k, d, mode)`` group share its cached clique enumeration, and
+        each tight/diverse point is one batched kernel call over that
+        group plus one allocation profile for its winner.  What the
+        batch adds is a single worker pool for all of its points.
+
         Parameters
         ----------
         queries:
@@ -417,12 +397,10 @@ class PreviewEngine:
             When true, infeasible points yield None in the result list
             instead of raising.
         jobs:
-            With ``jobs > 1`` the heavy lifting is sharded across one
-            worker pool shared by the whole batch: every sweep group's
-            per-subset allocation profiles are built in parallel shards
-            up front, and the independent sweep points are then answered
-            from those shared artifacts (plus sharded brute-force
-            evaluation for points that dispatch there).
+            With ``jobs > 1`` one worker pool serves the whole batch:
+            each point whose group the planner deems large enough is
+            scored in parallel shards (and brute-force points dispatch
+            there too); smaller groups score inline.
         executor:
             An already-running :class:`~repro.parallel.ShardedExecutor`
             to use for the whole batch instead of creating one;
@@ -448,16 +426,14 @@ class PreviewEngine:
                 "(was a grid axis empty or a generator already exhausted?)"
             )
             return []
-        if executor is not None:
-            return self._sweep_batch(queries, skip_infeasible, executor)
-        if jobs != 1:
+        if executor is None and jobs != 1:
             from ..parallel import ShardedExecutor
 
-            # One pool amortized over the whole batch: profile prewarm
-            # and every sharded point reuse the same workers.
-            with ShardedExecutor(jobs) as executor:
-                return self._sweep_batch(queries, skip_infeasible, executor)
-        return self._sweep_batch(queries, skip_infeasible, None)
+            # One pool amortized over the whole batch: every sharded
+            # point reuses the same workers.
+            with ShardedExecutor(jobs) as owned:
+                return self._sweep_batch(queries, skip_infeasible, owned)
+        return self._sweep_batch(queries, skip_infeasible, executor)
 
     def _sweep_batch(
         self,
@@ -465,7 +441,6 @@ class PreviewEngine:
         skip_infeasible: bool,
         executor: Optional["ShardedExecutor"],
     ) -> List[Optional[DiscoveryResult]]:
-        self._prewarm_profiles(queries, executor=executor)
         results: List[Optional[DiscoveryResult]] = []
         for query in queries:
             result = self._run_cached(query, executor=executor)
@@ -475,126 +450,6 @@ class PreviewEngine:
                 )
             results.append(result)
         return results
-
-    def _prewarm_profiles(
-        self,
-        queries: List[PreviewQuery],
-        executor: Optional["ShardedExecutor"] = None,
-    ) -> None:
-        """Build each sweep group's profiles at its widest budget upfront.
-
-        Without this, an ascending-``n`` sweep would build capped
-        profiles for its first point and rebuild them on the second;
-        knowing the whole batch, one sized-right build serves every
-        point.  Queries that are malformed or won't take the Apriori
-        fast path are skipped — they fail or dispatch normally later.
-
-        With a parallel executor, the *whole batch* of pending builds
-        is planned at once (:func:`repro.plan.plan_sweep`): groups big
-        enough for their own sharded dispatch get one, and — under the
-        ``auto`` planner — groups individually too small are batched
-        into one combined worker dispatch instead of each running
-        serially, amortizing the snapshot shipping across sweep points.
-        """
-        from ..exceptions import DiscoveryError
-
-        self._sync_generation()
-        widest: Dict[Tuple, Tuple[SizeConstraint, DistanceConstraint]] = {}
-        for query in queries:
-            try:
-                distance = query.distance()
-                if distance is None:
-                    continue
-                spec = resolve_algorithm(query.algorithm, query.shape())
-                size = query.size()
-            except DiscoveryError:
-                continue
-            if spec.runner is not _builtin_apriori_runner:
-                continue
-            group_key = (size.k, distance.d, distance.mode.value)
-            known = widest.get(group_key)
-            if known is None or size.n > known[0].n:
-                widest[group_key] = (size, distance)
-        if executor is None or executor.jobs <= 1:
-            for size, distance in widest.values():
-                self._apriori_profiles(
-                    self.context, size, distance, executor=executor
-                )
-            return
-        plan_before = plan.decision_counts()
-        context = self.context
-        # Collect the groups that actually need a (re)build, with the
-        # same cap semantics as _apriori_profiles: capped on the first
-        # build, exhaustive on a rebuild for a wider budget.
-        pending: List[Tuple[Tuple, List[Tuple[TypeId, ...]], Optional[int]]] = []
-        for size, distance in widest.values():
-            group_key, subsets = self._group_subsets(context, size, distance)
-            extra_cap = size.n - size.k
-            profiles = self._patch_stale_profiles(context, group_key, subsets)
-            if profiles is not None and all(
-                profile is None or profile.covers(extra_cap)
-                for profile in profiles
-            ):
-                continue
-            if not subsets:
-                self._profiles[group_key] = []
-                continue
-            cap = extra_cap if profiles is None else None
-            pending.append((group_key, subsets, cap))
-        if not pending:
-            self._accumulate_plan_decisions(plan_before)
-            return
-        sweep_plan = plan.plan_sweep(
-            [len(subsets) for _, subsets, _ in pending], executor.jobs
-        )
-        pool = context.candidate_pool()
-        for at in sweep_plan.sharded:
-            group_key, subsets, cap = pending[at]
-            snapshot = self._current_snapshot(pool)
-            self._profiles[group_key] = self._rehydrate_profiles(
-                pool, subsets, executor.build_profiles(snapshot, subsets, cap)
-            )
-        if sweep_plan.batched:
-            snapshot = self._current_snapshot(pool)
-            grouped = executor.build_profile_groups(
-                snapshot,
-                [
-                    (pending[at][1], pending[at][2])
-                    for at in sweep_plan.batched
-                ],
-            )
-            for at, payloads in zip(sweep_plan.batched, grouped):
-                group_key, subsets, _cap = pending[at]
-                self._profiles[group_key] = self._rehydrate_profiles(
-                    pool, subsets, payloads
-                )
-        for at in sweep_plan.serial:
-            group_key, subsets, cap = pending[at]
-            self._profiles[group_key] = [
-                build_allocation_profile(pool, keys, cap=cap)
-                for keys in subsets
-            ]
-        self._accumulate_plan_decisions(plan_before)
-
-    def _rehydrate_profiles(
-        self,
-        pool,
-        subsets: List[Tuple[TypeId, ...]],
-        payloads,
-    ) -> List[Optional[AllocationProfile]]:
-        """Worker profile payloads -> AllocationProfiles over ``pool``."""
-        return [
-            None
-            if payload is None
-            else AllocationProfile(
-                keys,
-                tuple(pool.index[key] for key in keys),
-                payload[0],
-                payload[1],
-                payload[2],
-            )
-            for keys, payload in zip(subsets, payloads)
-        ]
 
     def _accumulate_plan_decisions(self, before: Dict[str, int]) -> None:
         """Fold the planner-counter delta since ``before`` into this engine."""
@@ -651,8 +506,8 @@ class PreviewEngine:
 
         * Apriori fast path — the union of the group's qualifying
           subsets: the result is the argmax over those subsets'
-          allocation profiles, and each profile reads only its own
-          types' scores;
+          allocations, and each allocation reads only its own types'
+          scores;
         * other built-ins — the eligible set: their enumerations draw
           keys from ``eligible_key_types`` and read nothing else;
         * third-party algorithms — every type (they may read anything).
@@ -680,8 +535,9 @@ class PreviewEngine:
         context = self.context
         size = query.size()
         distance = query.distance()
-        # The sweep fast path stands in for the *built-in* Apriori only;
-        # a shadowing re-registration under the same name must win.
+        # The clique-group fast path stands in for the *built-in*
+        # Apriori only; a shadowing re-registration under the same name
+        # must win.
         if distance is not None and spec.runner is _builtin_apriori_runner:
             if executor is not None:
                 return self._execute_apriori(
@@ -690,8 +546,8 @@ class PreviewEngine:
             if jobs != 1:
                 from ..parallel import ShardedExecutor
 
-                # Lazily started: a pool only spins up if the profiles
-                # are not already cached for this group.
+                # Lazily started: a pool only spins up if the planner
+                # shards this group.
                 with ShardedExecutor(jobs) as owned:
                     return self._execute_apriori(
                         context, size, distance, executor=owned
@@ -705,64 +561,18 @@ class PreviewEngine:
             )
         return spec.run(context, size, distance)
 
-    # -- Apriori sweep fast path ---------------------------------------
-    def _apriori_profiles(
-        self,
-        context: ScoringContext,
-        size: SizeConstraint,
-        distance: DistanceConstraint,
-        executor: Optional["ShardedExecutor"] = None,
-    ) -> List[Optional[AllocationProfile]]:
-        """Clique subsets + allocation profiles for one ``(k, d, mode)``.
-
-        The subsets are enumerated once per generation (order matching
-        ``apriori_discover`` so score ties resolve identically).  The
-        profiles are first built capped at this query's ``n - k`` — a
-        one-shot query then costs no more than the legacy allocation —
-        and rebuilt uncapped the first time a larger budget arrives,
-        after which every ``n`` along a sweep reuses them.
-
-        With a parallel ``executor``, the per-subset merges run in
-        worker shards against a picklable pool snapshot and the profile
-        payloads are re-hydrated here; the same allocation code runs on
-        the same flat score arrays, so the profiles are bit-identical to
-        a serial build (see :mod:`repro.parallel`).
-        """
-        group_key, subsets = self._group_subsets(context, size, distance)
-
-        extra_cap = size.n - size.k
-        profiles = self._patch_stale_profiles(context, group_key, subsets)
-        if profiles is not None and all(
-            profile is None or profile.covers(extra_cap) for profile in profiles
-        ):
-            return profiles
-        pool = context.candidate_pool()
-        cap = extra_cap if profiles is None else None  # 2nd build: exhaustive
-        if executor is not None and kernel.should_shard(
-            len(subsets), executor.jobs
-        ):
-            snapshot = self._current_snapshot(pool)
-            profiles = self._rehydrate_profiles(
-                pool, subsets, executor.build_profiles(snapshot, subsets, cap)
-            )
-        else:
-            profiles = [
-                build_allocation_profile(pool, keys, cap=cap) for keys in subsets
-            ]
-        self._profiles[group_key] = profiles
-        return profiles
-
+    # -- Apriori clique-group fast path -------------------------------
     def _group_subsets(
         self,
         context: ScoringContext,
         size: SizeConstraint,
         distance: DistanceConstraint,
-    ) -> Tuple[Tuple, List[Tuple[TypeId, ...]]]:
-        """The ``(k, d, mode)`` group key and its qualifying subsets.
+    ) -> List[Tuple[TypeId, ...]]:
+        """The qualifying key subsets of the ``(k, d, mode)`` group.
 
-        Enumerated once per generation, in the ``apriori_discover``
-        clique order so score ties resolve identically everywhere the
-        group is read (profile scans and batched kernel calls alike).
+        Enumerated once per generation (kept across non-structural
+        mutations), in the ``apriori_discover`` clique order so score
+        ties resolve identically.
         """
         group_key = (size.k, distance.d, distance.mode.value)
         subsets = self._subsets.get(group_key)
@@ -780,36 +590,7 @@ class PreviewEngine:
             self._group_deps[group_key] = frozenset(
                 type_name for keys in subsets for type_name in keys
             )
-        return group_key, subsets
-
-    def _patch_stale_profiles(
-        self,
-        context: ScoringContext,
-        group_key: Tuple,
-        subsets: List[Tuple[TypeId, ...]],
-    ) -> Optional[List[Optional[AllocationProfile]]]:
-        """Apply pending per-subset patches and return the group's profiles.
-
-        After a type-scoped invalidation, only the profiles whose key
-        subset contains a dirty type were marked stale: rebuild exactly
-        those against the patched pool (uncapped, so they cover every
-        budget) and keep the rest — their types' weighted rows are
-        bit-identical, so their pick sequences still are too.  A profile
-        that was None stays None: infeasibility (a key with an empty
-        ``Γτ``) is a structural property, and structural mutations never
-        reach this path.
-        """
-        profiles = self._profiles.get(group_key)
-        stale = self._stale_profiles.pop(group_key, None)
-        if profiles is None or not stale:
-            return profiles
-        pool = context.candidate_pool()
-        for position in stale:
-            if profiles[position] is not None:
-                profiles[position] = build_allocation_profile(
-                    pool, subsets[position], cap=None
-                )
-        return profiles
+        return subsets
 
     def _current_snapshot(self, pool):
         """The worker-pool snapshot for ``pool``, refreshed in O(delta).
@@ -838,51 +619,19 @@ class PreviewEngine:
         distance: DistanceConstraint,
         executor: Optional["ShardedExecutor"] = None,
     ) -> Optional[DiscoveryResult]:
-        """Answer one tight/diverse point from the group's shared state.
+        """Answer one tight/diverse point from the group's cached subsets.
 
         Produces the same :class:`DiscoveryResult` (preview, score and
-        bookkeeping) as :func:`repro.core.apriori.apriori_discover`.
-
-        Two regimes, chosen by whether the group's allocation profiles
-        exist (a sweep prewarmed them):
-
-        * **profiles cached** — scan their cumulative-score prefixes,
-          the sweep fast path;
-        * **one-shot point** — score the whole group in one batched
-          kernel call (sharded over the executor above the dispatch
-          threshold) and build only the winner's profile.  Building
-          per-subset profiles for a single budget would cost more than
-          the answer; a later sweep still gets them via its prewarm.
+        bookkeeping) as :func:`repro.core.apriori.apriori_discover`: one
+        batched kernel call scores the whole group at this budget
+        (sharded over the executor when the planner says so), and only
+        the winner's allocation profile is built.
         """
         validate_constraints(size, distance, eligible_key_types(context))
-        group_key, subsets = self._group_subsets(context, size, distance)
+        subsets = self._group_subsets(context, size, distance)
         if not subsets:
             return None
         extra_cap = size.n - size.k
-        if group_key in self._profiles:
-            profiles = self._apriori_profiles(
-                context, size, distance, executor=executor
-            )
-            best_score = _NEG_INF
-            best: Optional[AllocationProfile] = None
-            for profile in profiles:
-                if profile is None:
-                    continue
-                score = profile.score_at(extra_cap)
-                if score > best_score:
-                    best_score = score
-                    best = profile
-            if best is None:
-                return None
-            pool = context.candidate_pool()
-            return DiscoveryResult(
-                preview=best.preview_at(pool, extra_cap),
-                score=best_score,
-                algorithm="apriori[apriori]",
-                key_scorer=context.key_scorer_name,
-                nonkey_scorer=context.nonkey_scorer_name,
-                candidates_examined=len(profiles),
-            )
         pool = context.candidate_pool()
         if executor is not None and kernel.should_shard(
             len(subsets), executor.jobs

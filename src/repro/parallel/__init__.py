@@ -22,14 +22,14 @@ same order on the same values, making per-subset scores bit-identical to
 a serial run, not merely approximately equal.
 
 Each worker returns only its shard's best ``(score, subset_index)`` (or
-compact profile payloads, for the engine's sweep prewarm); the parent
-reduces with the exact serial tie-break — the *lowest* subset index wins
-among equal scores, matching the ``score > best_score`` strict
-comparison of the serial loops — and materializes the winning preview
-locally against the real candidate pool.  Results are therefore
-bit-identical to ``apriori_discover`` / ``brute_force_discover`` at
-``jobs=1``, which the property tests in ``tests/test_parallel.py``
-assert for all four registered algorithms.
+compact profile payloads from ``build_profiles``, which has no engine
+caller); the parent reduces with the exact serial tie-break — the
+*lowest* subset index wins among equal scores, matching the
+``score > best_score`` strict comparison of the serial loops — and
+materializes the winning preview locally against the real candidate
+pool.  Results are therefore bit-identical to ``apriori_discover`` /
+``brute_force_discover`` at ``jobs=1``, which the property tests in
+``tests/test_parallel.py`` assert for all four registered algorithms.
 
 ``jobs=1`` is a true serial fallback: the shard functions run inline and
 :mod:`multiprocessing` is never imported.  ``jobs=0`` resolves to the

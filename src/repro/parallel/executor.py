@@ -9,9 +9,11 @@ tie-break order.  Two shard operations cover both call sites:
   attribute budget, return the global best ``(score, subset_index)``;
   used by ``apriori_discover``/``brute_force_discover``.
 * :meth:`ShardedExecutor.build_profiles` — build the full allocation
-  profile payload (pick sequence + cumulative scores) per subset; used
-  by the engine's sweep prewarm so every budget along a sweep reads the
-  sharded result.
+  profile payload (pick sequence + cumulative scores) per subset.  No
+  engine path calls it (or :meth:`ShardedExecutor.build_profile_groups`)
+  any more: sweeps answer every point through ``best_allocation``.
+  Both stay as public executor operations, and benchmark tracing looks
+  them up by name.
 
 ``jobs=1`` (and degenerate shard counts) run the shard functions inline —
 :mod:`multiprocessing` is imported lazily and only on a genuinely
@@ -34,8 +36,8 @@ from .snapshot import ScoringSnapshot
 #: or None for an infeasible subset (some key with an empty Γτ).
 ProfilePayload = Optional[Tuple[List[Tuple[int, int]], List[float], Optional[int]]]
 
-#: One sweep-prewarm profile group: (subsets, cap).  Groups keep their
-#: own caps because different sweep points trim profiles differently.
+#: One profile group for :meth:`ShardedExecutor.build_profile_groups`:
+#: (subsets, cap).  Each group keeps its own cap.
 ProfileGroup = Tuple[Sequence[Tuple[TypeId, ...]], Optional[int]]
 
 
@@ -94,10 +96,10 @@ def _profile_shard(payload) -> List[ProfilePayload]:
 
 
 def _profile_groups_shard(payload) -> List[Tuple[int, List[ProfilePayload]]]:
-    """Profile payloads for a *bin* of whole sweep groups.
+    """Profile payloads for a *bin* of whole profile groups.
 
     The payload carries ``(snapshot, [(group_index, subsets, cap), ...])``
-    — several small sweep points batched into one worker task.  Groups
+    — several small groups batched into one worker task.  Groups
     are never split across bins, so each keeps its own cap and its
     payloads stay positionally aligned; the group index travels with
     the results for reassembly in the parent.
@@ -296,11 +298,11 @@ class ShardedExecutor:
         snapshot: ScoringSnapshot,
         groups: Sequence[ProfileGroup],
     ) -> List[List[ProfilePayload]]:
-        """Profile payloads for several sweep groups in ONE dispatch.
+        """Profile payloads for several groups in ONE dispatch.
 
-        The sweep-point batching op: each group is a (subsets, cap)
-        pair too small to justify its own pool dispatch, but together
-        they amortize the snapshot shipping.  Whole groups are greedily
+        Each group is a (subsets, cap) pair too small to justify its
+        own pool dispatch, but together they amortize the snapshot
+        shipping.  Whole groups are greedily
         bin-packed (largest first, into the lightest bin) across at
         most ``jobs`` worker tasks and dispatched in a single pool map;
         results come back positionally aligned with ``groups``.

@@ -2,12 +2,11 @@
 
 The subsystem that grew out of ``repro.kernel.plan``'s single static
 threshold: a :class:`CostModel` of measured per-backend timings, a
-:class:`Planner` that picks serial / sharded / batched-sweep execution
-per call site, adaptive shard sizing, and process-wide decision
-counters surfaced through ``PreviewEngine.cache_info()`` and the serve
-``stats`` op.  ``REPRO_PLAN`` (or :func:`use_mode`) forces any mode;
-all modes are bit-identical in results.  See
-``docs/execution-planner.md``.
+:class:`Planner` that picks serial or sharded execution per call site,
+adaptive shard sizing, and process-wide decision counters surfaced
+through ``PreviewEngine.cache_info()`` and the serve ``stats`` op.
+``REPRO_PLAN`` (or :func:`use_mode`) forces any mode; all modes are
+bit-identical in results.  See ``docs/execution-planner.md``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .planner import (
     OVERSUBSCRIPTION,
     PLAN_MODES,
     Planner,
-    SweepPlan,
     decision_counts,
     dispatch_threshold,
     estimated_subsets,
@@ -33,7 +31,6 @@ from .planner import (
     observe_snapshot_cost,
     plan_mode,
     plan_stats,
-    plan_sweep,
     reset_plan_caches,
     reset_plan_stats,
     reset_planner,
@@ -47,7 +44,6 @@ __all__ = [
     "CostModel",
     "LinearFit",
     "Planner",
-    "SweepPlan",
     "DEFAULT_DISPATCH_THRESHOLD",
     "DEFAULT_WINDOW",
     "ENV_PLAN",
@@ -67,7 +63,6 @@ __all__ = [
     "observe_snapshot_cost",
     "plan_mode",
     "plan_stats",
-    "plan_sweep",
     "reset_plan_caches",
     "reset_plan_stats",
     "reset_planner",

@@ -21,14 +21,14 @@ constant.  Four modes, selected by ``REPRO_PLAN`` (or in-process via
     behavior, kept forceable for benchmarks and bisection.
 ``static``
     Exactly the PR 6 planner: subset count against
-    :func:`dispatch_threshold`, single-core veto, no model, no sweep
-    batching, ``min(jobs, n)`` equal shards.
+    :func:`dispatch_threshold`, single-core veto, no model,
+    ``min(jobs, n)`` equal shards.
 
 Every decision increments a process-wide counter
-(:func:`decision_counts`): ``serial`` / ``sharded`` / ``batched_sweep``
-for the chosen strategy, ``model_warm`` vs ``fallback`` for how an
-``auto`` decision was reached, and ``vetoed_single_core`` when the
-affinity veto forced the answer.  :class:`~repro.engine.PreviewEngine`
+(:func:`decision_counts`): ``serial`` / ``sharded`` for the chosen
+strategy, ``model_warm`` vs ``fallback`` for how an ``auto`` decision
+was reached, and ``vetoed_single_core`` when the affinity veto forced
+the answer.  :class:`~repro.engine.PreviewEngine`
 attributes deltas of these counters to its queries (``cache_info()``'s
 ``plan_decisions``) and the benchmarks record them alongside wall
 times.
@@ -47,7 +47,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import config
 from ..exceptions import KernelError, PlanError
@@ -206,26 +206,6 @@ def _active_backend_name() -> str:
     return kernel.backend_name()
 
 
-class SweepPlan:
-    """How a sweep's pending profile-build groups should execute.
-
-    Positional indices into the planner's input ``group_sizes``:
-    ``sharded`` groups are each big enough for their own pool dispatch,
-    ``batched`` groups are individually sub-threshold but worth one
-    *combined* dispatch (the sweep-point batching the static planner
-    could never do), and ``serial`` groups run inline.
-    """
-
-    __slots__ = ("sharded", "batched", "serial")
-
-    def __init__(
-        self, sharded: List[int], batched: List[int], serial: List[int]
-    ) -> None:
-        self.sharded = sharded
-        self.batched = batched
-        self.serial = serial
-
-
 class Planner:
     """Cost-model-backed execution planning with decision accounting.
 
@@ -242,7 +222,6 @@ class Planner:
         self._decisions: Dict[str, int] = {
             "serial": 0,
             "sharded": 0,
-            "batched_sweep": 0,
             "model_warm": 0,
             "fallback": 0,
             "vetoed_single_core": 0,
@@ -320,61 +299,6 @@ class Planner:
                 )
                 return sharded_cost < serial_cost, "model_warm"
         return subset_count >= dispatch_threshold(), "fallback"
-
-    def plan_sweep(
-        self, group_sizes: Sequence[int], jobs: int
-    ) -> SweepPlan:
-        """Assign a sweep's pending profile-build groups to strategies.
-
-        ``group_sizes[i]`` is the qualifying-subset count of pending
-        group ``i``.  Groups worth their own pool dispatch go to
-        ``sharded``; under ``auto``, the remaining small groups are
-        *batched* into one combined dispatch when their total justifies
-        the pool — the case the per-group static rule always ran
-        serially, even when the sweep as a whole had the work to
-        amortize the workers.
-        """
-        mode = plan_mode()
-        indices = list(range(len(group_sizes)))
-        if not indices:
-            return SweepPlan([], [], [])
-        if (
-            mode == "serial"
-            or jobs <= 1
-            or (mode != "sharded" and min(jobs, usable_cpus()) <= 1)
-        ):
-            if mode == "auto" and jobs > 1 and usable_cpus() <= 1:
-                self._count("vetoed_single_core")
-            for _ in indices:
-                self._count("serial")
-            return SweepPlan([], [], indices)
-        if mode == "sharded":
-            sharded = [i for i in indices if group_sizes[i] > 1]
-            serial = [i for i in indices if group_sizes[i] <= 1]
-            for _ in sharded:
-                self._count("sharded")
-            for _ in serial:
-                self._count("serial")
-            return SweepPlan(sharded, [], serial)
-        sharded: List[int] = []
-        small: List[int] = []
-        for i in indices:
-            if mode == "static":
-                verdict = self._static_verdict(group_sizes[i], jobs)
-            else:
-                verdict, how = self._auto_verdict(group_sizes[i])
-                self._count(how)
-            (sharded if verdict else small).append(i)
-            self._count("sharded" if verdict else "serial")
-        if mode == "static" or len(small) < 2:
-            return SweepPlan(sharded, [], small)
-        total = sum(group_sizes[i] for i in small)
-        combined, how = self._auto_verdict(total)
-        self._count(how)
-        if combined:
-            self._count("batched_sweep")
-            return SweepPlan(sharded, small, [])
-        return SweepPlan(sharded, [], small)
 
     # ------------------------------------------------------------------
     # Shard sizing
@@ -528,11 +452,6 @@ def should_shard(subset_count: int, jobs: int) -> bool:
 def shard_layout(subset_count: int, jobs: int) -> List[int]:
     """Module-level convenience for :meth:`Planner.shard_layout`."""
     return get_planner().shard_layout(subset_count, jobs)
-
-
-def plan_sweep(group_sizes: Sequence[int], jobs: int) -> SweepPlan:
-    """Module-level convenience for :meth:`Planner.plan_sweep`."""
-    return get_planner().plan_sweep(group_sizes, jobs)
 
 
 def observe_serial(backend: str, subsets: int, seconds: float) -> None:

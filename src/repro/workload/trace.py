@@ -353,13 +353,23 @@ class WorkloadTrace:
         Raises
         ------
         WorkloadError
-            When the file does not exist or fails validation.
+            When the file does not exist, is not valid UTF-8 (the
+            message names the byte offset and line of the first bad
+            byte), or fails validation.
         """
         file_path = Path(path)
         try:
-            text = file_path.read_text(encoding="utf-8")
+            data = file_path.read_bytes()
         except OSError as exc:
             raise WorkloadError(f"cannot read trace {file_path}: {exc}") from exc
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise WorkloadError(
+                f"trace {file_path} is not valid UTF-8: byte "
+                f"0x{data[exc.start]:02x} at offset {exc.start} (line {line})"
+            ) from exc
         return cls.loads(text)
 
 

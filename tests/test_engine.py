@@ -1,9 +1,13 @@
 """Tests for the algorithm registry and the PreviewEngine."""
 
+import importlib
 import logging
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import config, kernel, plan
 from repro.core import (
     ALGORITHMS,
     DISCOVERY_ALGORITHMS,
@@ -27,8 +31,28 @@ from repro.exceptions import (
 from repro.ext import IncrementalEntityGraph
 from repro.model import RelationshipTypeId
 
+#: The engine module itself (the package re-exports only the class).
+ENGINE_MODULE = importlib.import_module("repro.engine.engine")
+
+#: Worker count for the sharded legs (CI pins REPRO_TEST_JOBS=2/4).
+JOBS = config.test_jobs()
+
 ACTED = RelationshipTypeId("Acted In", "ACTOR", "FILM")
 DIRECTED = RelationshipTypeId("Directed", "DIRECTOR", "FILM")
+HAS_GENRE = RelationshipTypeId("Has Genre", "FILM", "GENRE")
+
+
+def live_graph() -> IncrementalEntityGraph:
+    """Three films, one actor in all of them, one director of one."""
+    inc = IncrementalEntityGraph(name="live")
+    for i in range(3):
+        inc.add_entity(f"film{i}", ["FILM"])
+    inc.add_entity("actor0", ["ACTOR"])
+    inc.add_entity("director0", ["DIRECTOR"])
+    for i in range(3):
+        inc.add_relationship("actor0", f"film{i}", ACTED)
+    inc.add_relationship("director0", "film0", DIRECTED)
+    return inc
 
 
 class TestRegistry:
@@ -301,7 +325,7 @@ class TestPreviewEngine:
         engine.sweep(
             [PreviewQuery(k=2, n=n, d=1, mode="tight") for n in (4, 5, 6)]
         )
-        # One clique/profile group serves all three attribute budgets.
+        # One clique group serves all three attribute budgets.
         assert engine.cache_info()["profile_groups"] == 1
 
     def test_invalidate_clears_caches(self, fig1_graph):
@@ -318,15 +342,7 @@ class TestEngineCacheInvalidation:
 
     @pytest.fixture
     def live(self):
-        inc = IncrementalEntityGraph(name="live")
-        for i in range(3):
-            inc.add_entity(f"film{i}", ["FILM"])
-        inc.add_entity("actor0", ["ACTOR"])
-        inc.add_entity("director0", ["DIRECTOR"])
-        for i in range(3):
-            inc.add_relationship("actor0", f"film{i}", ACTED)
-        inc.add_relationship("director0", "film0", DIRECTED)
-        return inc
+        return live_graph()
 
     def test_engine_is_cached_per_scorer_pair(self, live):
         assert live.engine() is live.engine()
@@ -364,9 +380,8 @@ class TestEngineCacheInvalidation:
         assert third is not first
 
     def test_distance_sweep_state_dropped_on_mutation(self, live):
-        # Sweeps (not one-shot queries) build the per-group profile
-        # state: one-shot queries answer through the batched kernel
-        # without materializing profiles.
+        # A structural mutation (a new entity type) drops the cached
+        # clique group; the next sweep re-enumerates it.
         engine = live.engine()
         point = [PreviewQuery(k=2, n=4, d=2, mode="tight")]
         engine.sweep(point)
@@ -387,20 +402,18 @@ class TestEngineCacheInvalidation:
         Since the delta pipeline, the mutation (an entity of the
         existing FILM type — non-structural, coverage scorers) triggers
         a *type-scoped* eviction: both cached results depend on FILM, so
-        both are evicted, but the clique/profile group survives (its
-        dirty profiles are patched lazily on the next read) and no full
-        invalidation is recorded.
+        both are evicted, but the clique group survives (it depends on
+        schema structure only) and no full invalidation is recorded.
         """
         engine = live.engine()
         engine.query(k=1, n=2)
-        # A sweep point, so the profile group exists (one-shot queries
-        # run the batched kernel and never materialize profiles).
+        # A tight point, so a clique group exists.
         engine.sweep([PreviewQuery(k=2, n=4, d=2, mode="tight")])
         live.add_entity("film-new", ["FILM"])
         info = engine.cache_info()  # no query ran since the mutation
         assert info["generation"] == live.generation
         assert info["results"] == 0  # evicted, not the stale sizes
-        assert info["profile_groups"] == 1  # sweep state retained
+        assert info["profile_groups"] == 1  # clique group retained
         assert info["invalidations"] == 0  # type-scoped, not a full drop
         assert info["evicted"] == 2 and info["retained"] == 0
 
@@ -409,9 +422,10 @@ class TestEngineCacheInvalidation:
 
         Interleaves mutations between sweep batches; every post-mutation
         result must equal a from-scratch ``apriori_discover`` on the
-        current generation (guards the ``_prewarm_profiles`` →
-        ``_sync_generation`` ordering: profiles prewarmed before the
-        generation check would serve the previous graph's scores).
+        current generation (guards the ordering of ``_sync_generation``
+        before any point reads the cached clique group: a point scored
+        before the generation check would serve the previous graph's
+        scores).
         """
         engine = live.engine()
         grid = [PreviewQuery(k=2, n=n, d=2, mode="tight") for n in (3, 4, 5)]
@@ -432,6 +446,171 @@ class TestEngineCacheInvalidation:
                 "director0", f"film-extra{batch}", DIRECTED
             )
             live.add_relationship("actor0", f"film-extra{batch}", ACTED)
+
+
+def count_profile_builds(monkeypatch):
+    """Record the key subset of every allocation profile the engine builds."""
+    built = []
+    real = ENGINE_MODULE.build_allocation_profile
+
+    def counting(pool, keys, cap=None):
+        built.append(tuple(keys))
+        return real(pool, keys, cap=cap)
+
+    monkeypatch.setattr(ENGINE_MODULE, "build_allocation_profile", counting)
+    return built
+
+
+class TestSweepThroughKernel:
+    """Sweep points are answered like one-shot queries.
+
+    Each computed tight/diverse point is one batched kernel call over its
+    group's cached qualifying subsets plus one allocation profile, the
+    winner's; memo hits build nothing.  The clique group is the only
+    state a sweep shares across budgets.
+    """
+
+    #: One (k=2, d=2, tight) group: every pair of FILM/ACTOR/DIRECTOR.
+    TIGHT = [PreviewQuery(k=2, n=n, d=2, mode="tight") for n in (2, 3, 4, 5)]
+    #: One (k=2, d=2, diverse) group: only ACTOR–DIRECTOR is that far apart.
+    DIVERSE = [PreviewQuery(k=2, n=n, d=2, mode="diverse") for n in (2, 4)]
+
+    @pytest.mark.parametrize("jobs", [1, JOBS], ids=["serial", f"jobs{JOBS}"])
+    def test_one_profile_per_computed_feasible_point(self, monkeypatch, jobs):
+        engine = live_graph().engine()
+        built = count_profile_builds(monkeypatch)
+        grid = self.TIGHT + self.DIVERSE
+        with plan.use_mode("sharded" if jobs > 1 else "serial"):
+            results = engine.sweep(grid, skip_infeasible=True, jobs=jobs)
+        assert all(result is not None for result in results)
+        assert len(built) == len(grid)
+        assert engine.cache_info()["misses"] == len(grid)
+        # A repeated sweep is all memo hits and builds nothing.
+        engine.sweep(grid, skip_infeasible=True)
+        assert len(built) == len(grid)
+
+    def test_type_scoped_mutation_recomputes_only_dependent_points(
+        self, monkeypatch
+    ):
+        inc = live_graph()
+        engine = inc.engine()
+        grid = self.TIGHT + self.DIVERSE
+        engine.sweep(grid, skip_infeasible=True)
+        built = count_profile_builds(monkeypatch)
+        before = engine.cache_info()
+        # FILM is in the tight group's subsets but not the diverse one's.
+        inc.add_entity("film-new", ["FILM"])
+        results = engine.sweep(grid, skip_infeasible=True)
+        after = engine.cache_info()
+        assert after["invalidations"] == before["invalidations"]
+        computed = after["misses"] - before["misses"]
+        assert computed == len(self.TIGHT)
+        assert after["hits"] - before["hits"] == len(self.DIVERSE)
+        assert all(result is not None for result in results)
+        assert len(built) == computed
+        assert {frozenset(keys) for keys in built} <= {
+            frozenset(result.preview.keys()) for result in results
+        }
+
+    def test_profile_groups_counts_cached_clique_groups(self):
+        inc = live_graph()
+        engine = inc.engine()
+        engine.sweep(self.TIGHT)
+        assert engine.cache_info()["profile_groups"] == 1
+        inc.add_entity("film-new", ["FILM"])  # non-structural
+        info = engine.cache_info()
+        assert info["profile_groups"] == 1 and info["invalidations"] == 0
+        engine.sweep(self.DIVERSE)
+        assert engine.cache_info()["profile_groups"] == 2
+        inc.add_entity("genre0", ["GENRE"])  # a new type: structural
+        info = engine.cache_info()
+        assert info["profile_groups"] == 0 and info["invalidations"] == 1
+
+
+#: Sweep batches the oracle property draws from: tight and diverse
+#: groups, budgets deliberately out of order.
+ORACLE_SWEEPS = (
+    [PreviewQuery(k=2, n=n, d=1, mode="tight") for n in (4, 2, 3)],
+    [PreviewQuery(k=2, n=n, d=2, mode="tight") for n in (2, 3, 5, 8)],
+    [PreviewQuery(k=2, n=n, d=2, mode="diverse") for n in (3, 2, 6)],
+    [PreviewQuery(k=3, n=n, d=2, mode="tight") for n in (3, 4, 7)],
+    # Infeasible until a GENRE edge puts a third type two hops away.
+    [PreviewQuery(k=3, n=n, d=2, mode="diverse") for n in (5, 3)],
+)
+
+oracle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("sweep"), st.integers(0, len(ORACLE_SWEEPS) - 1)),
+        st.tuples(
+            st.just("entity"),
+            st.sampled_from(("FILM", "ACTOR", "DIRECTOR")),
+            st.integers(0, 5),
+        ),
+        st.tuples(st.just("acted"), st.integers(0, 3), st.integers(0, 5)),
+        st.tuples(st.just("directed"), st.integers(0, 3), st.integers(0, 5)),
+        # The first genre edge is structural (a new type), later ones not.
+        st.tuples(st.just("genre"), st.integers(0, 5), st.integers(0, 2)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def apply_mutation(inc: IncrementalEntityGraph, op) -> None:
+    kind = op[0]
+    if kind == "entity":
+        inc.add_entity(f"{op[1].lower()}{op[2]}", [op[1]])
+        return
+    if kind == "genre":
+        source, source_type = f"film{op[1]}", "FILM"
+        target, target_type, rel = f"genre{op[2]}", "GENRE", HAS_GENRE
+    else:
+        source_type, rel = (
+            ("ACTOR", ACTED) if kind == "acted" else ("DIRECTOR", DIRECTED)
+        )
+        source = f"{source_type.lower()}{op[1]}"
+        target, target_type = f"film{op[2]}", "FILM"
+    inc.add_entity(source, [source_type])
+    inc.add_entity(target, [target_type])
+    inc.add_relationship(source, target, rel)
+
+
+class TestSweepOracleProperty:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(oracle_ops)
+    def test_sweeps_match_one_shot_oracle_runs(self, op_list):
+        """Every sweep answer along a random mutate/sweep interleaving
+        equals a one-shot ``run`` on a fresh engine scored by the
+        per-subset ``oracle`` kernel: same preview, same score bits,
+        same number of candidates examined."""
+        inc = live_graph()
+        engine = inc.engine()
+        closing = [("sweep", index) for index in range(len(ORACLE_SWEEPS))]
+        for op in list(op_list) + closing:
+            if op[0] != "sweep":
+                apply_mutation(inc, op)
+                continue
+            grid = ORACLE_SWEEPS[op[1]]
+            answers = engine.sweep(grid, skip_infeasible=True)
+            for query, answer in zip(grid, answers):
+                with kernel.use_backend("oracle"):
+                    try:
+                        expected = PreviewEngine(inc.entity_graph).run(query)
+                    except InfeasiblePreviewError:
+                        expected = None
+                if expected is None:
+                    assert answer is None, query
+                    continue
+                assert answer is not None, query
+                assert answer.preview == expected.preview, query
+                assert answer.score.hex() == expected.score.hex(), query
+                assert (
+                    answer.candidates_examined == expected.candidates_examined
+                ), query
 
 
 class TestEngineErrorHygiene:

@@ -270,7 +270,7 @@ class TestTypeScopedInvalidation:
         inc.add_relationship("actor0", "film42", ACTED)
         info = engine.cache_info()
         assert info["evicted"] == 3  # FILM is in every pair's dependency set
-        assert info["profile_groups"] == 1  # sweep state kept, patched lazily
+        assert info["profile_groups"] == 1  # clique group kept (schema-only)
         assert info["invalidations"] == 0
         results = engine.sweep(grid, skip_infeasible=True)
         for query, result in zip(grid, results):

@@ -393,7 +393,7 @@ class TestDispatchPlan:
     Forced to ``static`` mode: these tests pin the PR 6 rule itself,
     independent of whatever the auto planner's cost model has learned
     from earlier tests in the same process.  The planner's own behavior
-    (modes, cost model, sweep batching) lives in ``tests/test_plan.py``.
+    (modes, cost model, shard sizing) lives in ``tests/test_plan.py``.
     """
 
     @pytest.fixture(autouse=True)

@@ -8,8 +8,8 @@ Three layers, mirroring the planner's own contract:
   overwrites stale timings instead of averaging against them forever).
 * **Planner units** — mode forcing and validation, the single-core
   affinity veto, warm-model serial/sharded verdicts, adaptive shard
-  layout, sweep-point batching, the process-wide caches and their reset
-  hooks, and once-per-identity snapshot costing.
+  layout, the process-wide caches and their reset hooks, and
+  once-per-identity snapshot costing.
 * **The hypothesis property** — for random schema pools, query points
   and *any* ``REPRO_PLAN`` forcing, planner-chosen execution is
   bit-identical to the serial oracle (``float.hex`` scores + winning
@@ -300,69 +300,6 @@ class TestShardLayout:
             assert planner.shard_layout(1, jobs=4) == [1]
 
 
-class TestPlanSweep:
-    def test_serial_mode_runs_every_group_inline(self, many_cores):
-        planner = warm_planner()
-        with plan.use_mode("serial"):
-            sweep = planner.plan_sweep([100, 100_000, 7], jobs=4)
-        assert sweep.sharded == [] and sweep.batched == []
-        assert sweep.serial == [0, 1, 2]
-
-    def test_sharded_mode_shards_every_splittable_group(self, monkeypatch):
-        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 1)
-        planner = Planner(model=CostModel(window=8))
-        with plan.use_mode("sharded"):
-            sweep = planner.plan_sweep([100, 1, 50], jobs=4)
-        assert sweep.sharded == [0, 2]
-        assert sweep.batched == []
-        assert sweep.serial == [1]  # a 1-subset group cannot split
-
-    def test_static_mode_never_batches(self, many_cores, monkeypatch):
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "1000")
-        plan.reset_plan_caches()
-        planner = warm_planner()
-        with plan.use_mode("static"):
-            sweep = planner.plan_sweep([600, 600, 5_000], jobs=4)
-        # 600 + 600 would clear the threshold combined, but static is
-        # the per-group PR 6 rule: smalls stay serial.
-        assert sweep.sharded == [2]
-        assert sweep.batched == []
-        assert sweep.serial == [0, 1]
-
-    def test_auto_batches_small_groups_whose_total_pays(self, many_cores):
-        """The sweep-point batching static never did: smalls combine."""
-        planner = warm_planner()  # crossover near 5.5k subsets
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([4_000, 4_000, 100_000], jobs=4)
-        assert sweep.sharded == [2]  # big enough on its own
-        assert sweep.batched == [0, 1]  # 8k combined beats serial
-        assert sweep.serial == []
-        assert planner.decision_counts()["batched_sweep"] == 1
-
-    def test_auto_keeps_smalls_serial_when_the_total_does_not_pay(
-        self, many_cores
-    ):
-        planner = warm_planner()
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([100, 200], jobs=4)  # 300 total
-        assert sweep.sharded == [] and sweep.batched == []
-        assert sweep.serial == [0, 1]
-        assert planner.decision_counts()["batched_sweep"] == 0
-
-    def test_single_small_group_is_never_batched(self, many_cores):
-        planner = warm_planner()
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([4_000], jobs=4)
-        assert sweep.batched == []  # batching needs >= 2 groups
-        assert sweep.serial == [0]
-
-    def test_empty_sweep(self, many_cores):
-        planner = warm_planner()
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([], jobs=4)
-        assert sweep.sharded == sweep.batched == sweep.serial == []
-
-
 # ----------------------------------------------------------------------
 # Mode selection, caches and process-wide state
 # ----------------------------------------------------------------------
@@ -457,7 +394,6 @@ class TestModeAndCaches:
             assert set(stats["decisions"]) == {
                 "serial",
                 "sharded",
-                "batched_sweep",
                 "model_warm",
                 "fallback",
                 "vetoed_single_core",
@@ -615,7 +551,6 @@ class TestEngineDecisionAccounting:
         assert set(decisions) <= {
             "serial",
             "sharded",
-            "batched_sweep",
             "model_warm",
             "fallback",
             "vetoed_single_core",

@@ -114,6 +114,26 @@ class TestTraceFormat:
         with pytest.raises(WorkloadError, match="cannot read trace"):
             WorkloadTrace.load(tmp_path / "nope.jsonl")
 
+    def test_invalid_utf8_header_names_the_byte_offset(self, tmp_path):
+        path = tmp_path / "bad-header.jsonl"
+        path.write_bytes(b'{"kind": "\xff"}\n')
+        with pytest.raises(WorkloadError) as caught:
+            WorkloadTrace.load(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert "not valid UTF-8: byte 0xff at offset 10 (line 1)" in message
+
+    def test_invalid_utf8_op_line_names_the_byte_offset(self, tmp_path):
+        header = json.dumps(small_trace(ops=1).header()).encode("utf-8")
+        path = tmp_path / "bad-op.jsonl"
+        path.write_bytes(header + b'\n{"op": "preview\xfe"}\n')
+        offset = len(header) + 1 + len(b'{"op": "preview')
+        with pytest.raises(WorkloadError) as caught:
+            WorkloadTrace.load(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert f"byte 0xfe at offset {offset} (line 2)" in message
+
     def test_dump_to_unwritable_path(self, tmp_path):
         with pytest.raises(WorkloadError, match="cannot write trace"):
             small_trace(ops=2).dump(tmp_path / "no-such-dir" / "t.jsonl")
