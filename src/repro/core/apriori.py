@@ -5,9 +5,11 @@ Two steps, exactly as the paper structures them:
 1. **Find qualifying k-subsets** of entity types — all k-cliques of the
    *compatibility graph* in which two types are adjacent when their schema
    distance satisfies the constraint (``<= d`` tight, ``>= d`` diverse).
-   The level-wise Apriori-style join lives in
-   :mod:`repro.graph.cliques`; a Bron–Kerbosch backend is also available
-   (the paper notes any k-clique algorithm can be plugged in).
+   :func:`qualifying_subsets` is the one enumeration path: the
+   level-wise Apriori-style join runs in the active kernel backend
+   (:mod:`repro.graph.cliques` by default, a vectorized join over the
+   dense distance table under numpy); a Bron–Kerbosch backend is also
+   available (the paper notes any k-clique algorithm can be plugged in).
 2. **ComputePreview** for each qualifying subset — the Theorem-3 greedy
    allocation shared with Alg. 1 — keeping the best-scoring preview.
 
@@ -20,6 +22,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .. import kernel
+from ..graph.cliques import k_cliques
+from ..kernel.base import Subsets
 from ..scoring.preview_score import ScoringContext
 from .candidates import (
     batched_discover,
@@ -29,7 +34,37 @@ from .candidates import (
 from .constraints import DistanceConstraint, SizeConstraint, validate_constraints
 from .preview import DiscoveryResult
 from .registry import register_discovery_algorithm
-from ..graph.cliques import k_cliques
+
+
+def qualifying_subsets(
+    context: ScoringContext,
+    size: SizeConstraint,
+    distance: DistanceConstraint,
+    clique_backend: str = "apriori",
+) -> Subsets:
+    """The qualifying key subsets of one ``(k, d, mode)`` group.
+
+    Every ``size.k``-subset of the eligible key types whose pairs all
+    satisfy ``distance``, in the Apriori clique order (so score ties
+    resolve identically on every path).  ``"apriori"`` runs the
+    level-wise join in the active kernel backend, which may return a
+    compact read-only sequence instead of a list (see
+    :meth:`repro.kernel.KernelBackend.qualifying_subsets`);
+    ``"bron-kerbosch"`` runs :func:`repro.graph.cliques.k_cliques` with
+    that backend, for the ablation.
+    """
+    key_pool = eligible_key_types(context)
+    oracle = context.schema.distance_oracle()
+    if clique_backend == "apriori":
+        return kernel.active_backend().qualifying_subsets(
+            key_pool, oracle, distance, size.k
+        )
+    return k_cliques(
+        key_pool,
+        lambda a, b: distance.pair_ok(oracle, a, b),
+        size.k,
+        backend=clique_backend,
+    )
 
 
 def apriori_discover(
@@ -51,14 +86,8 @@ def apriori_discover(
     can be passed as ``executor`` to reuse its pool across calls
     (``jobs`` is then ignored; the caller keeps ownership).
     """
-    key_pool = eligible_key_types(context)
-    validate_constraints(size, distance, key_pool)
-    oracle = context.schema.distance_oracle()
-
-    def adjacent(a, b) -> bool:
-        return distance.pair_ok(oracle, a, b)
-
-    subsets = k_cliques(key_pool, adjacent, size.k, backend=clique_backend)
+    validate_constraints(size, distance, eligible_key_types(context))
+    subsets = qualifying_subsets(context, size, distance, clique_backend)
     if not subsets:
         return None
     algorithm = f"apriori[{clique_backend}]"

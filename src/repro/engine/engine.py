@@ -44,7 +44,10 @@ import logging
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .. import kernel, plan
-from ..core.apriori import _registered_apriori as _builtin_apriori_runner
+from ..core.apriori import (
+    _registered_apriori as _builtin_apriori_runner,
+    qualifying_subsets,
+)
 from ..core.branch_bound import branch_and_bound_discover as _builtin_branch_bound
 from ..core.brute_force import brute_force_discover as _builtin_brute_force
 from ..core.dynamic_prog import (
@@ -60,7 +63,7 @@ from ..core.discovery import make_context
 from ..core.preview import DiscoveryResult
 from ..core.registry import AlgorithmSpec, resolve_algorithm
 from ..exceptions import InfeasiblePreviewError
-from ..graph.cliques import k_cliques
+from ..kernel.base import Subsets, subset_members
 from ..model.ids import TypeId
 from ..scoring.base import scorer_pair_supports_delta
 from ..scoring.preview_score import ScoringContext
@@ -144,9 +147,10 @@ class PreviewEngine:
         self._result_deps: Dict[Tuple, FrozenSet[TypeId]] = {}
         #: (k, d, mode) -> qualifying key subsets, in the Apriori clique
         #: enumeration order (so score ties resolve identically).
-        self._subsets: Dict[Tuple, List[Tuple[TypeId, ...]]] = {}
+        self._subsets: Dict[Tuple, Subsets] = {}
         #: (k, d, mode) -> union of the group's subset types (the
-        #: dependency set of every result answered from that group).
+        #: dependency set of every result answered from that group),
+        #: filled on first read, which only dependency tracking makes.
         self._group_deps: Dict[Tuple, FrozenSet[TypeId]] = {}
         #: Cached worker-pool snapshot + the types dirtied since it was
         #: projected (refreshed in O(delta) on the next parallel build).
@@ -516,6 +520,9 @@ class PreviewEngine:
         if distance is not None and spec.runner is _builtin_apriori_runner:
             group_key = (query.size().k, distance.d, distance.mode.value)
             deps = self._group_deps.get(group_key)
+            if deps is None and group_key in self._subsets:
+                deps = subset_members(self._subsets[group_key])
+                self._group_deps[group_key] = deps
             if deps is not None:
                 return deps
         pool = self.context.candidate_pool()
@@ -567,29 +574,19 @@ class PreviewEngine:
         context: ScoringContext,
         size: SizeConstraint,
         distance: DistanceConstraint,
-    ) -> List[Tuple[TypeId, ...]]:
+    ) -> Subsets:
         """The qualifying key subsets of the ``(k, d, mode)`` group.
 
         Enumerated once per generation (kept across non-structural
-        mutations), in the ``apriori_discover`` clique order so score
-        ties resolve identically.
+        mutations) by :func:`repro.core.apriori.qualifying_subsets`, the
+        same call ``apriori_discover`` makes, so score ties resolve
+        identically.
         """
         group_key = (size.k, distance.d, distance.mode.value)
         subsets = self._subsets.get(group_key)
         if subsets is None:
-            key_pool = eligible_key_types(context)
-            oracle = context.schema.distance_oracle()
-
-            def adjacent(a: TypeId, b: TypeId) -> bool:
-                return distance.pair_ok(oracle, a, b)
-
-            subsets = list(
-                k_cliques(key_pool, adjacent, size.k, backend="apriori")
-            )
+            subsets = qualifying_subsets(context, size, distance)
             self._subsets[group_key] = subsets
-            self._group_deps[group_key] = frozenset(
-                type_name for keys in subsets for type_name in keys
-            )
         return subsets
 
     def _current_snapshot(self, pool):

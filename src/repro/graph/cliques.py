@@ -23,6 +23,21 @@ Node = Hashable
 AdjacencyFn = Callable[[Node, Node], bool]
 
 
+def clique_index(nodes: Sequence[Node], k: int) -> Dict[Node, int]:
+    """Position of each node in ``nodes``, after validating the arguments.
+
+    The one argument check every enumerator shares: raises
+    :class:`~repro.exceptions.GraphError` when ``k`` is negative or
+    ``nodes`` repeats a node (the total order would be ambiguous).
+    """
+    if k < 0:
+        raise GraphError("k must be non-negative")
+    index = {node: position for position, node in enumerate(nodes)}
+    if len(index) != len(nodes):
+        raise GraphError("nodes must be distinct")
+    return index
+
+
 def apriori_k_cliques(
     nodes: Sequence[Node],
     adjacent: AdjacencyFn,
@@ -38,13 +53,9 @@ def apriori_k_cliques(
     elements and checks only the new pair, exactly as the paper's Alg. 3:
     every other pair was already validated in a parent subset.
     """
-    if k < 0:
-        raise GraphError("k must be non-negative")
+    index = clique_index(nodes, k)
     if k == 0:
         return [()]
-    index = {node: position for position, node in enumerate(nodes)}
-    if len(index) != len(nodes):
-        raise GraphError("nodes must be distinct")
     level: List[Tuple[Node, ...]] = [(node,) for node in nodes]
     if k == 1:
         return level
@@ -85,11 +96,9 @@ def bron_kerbosch_k_cliques(
     every maximal clique (deduplicated).  This is the classical baseline
     the paper contrasts with the Apriori-style method.
     """
-    if k < 0:
-        raise GraphError("k must be non-negative")
+    index = clique_index(nodes, k)
     if k == 0:
         return [()]
-    index = {node: position for position, node in enumerate(nodes)}
     neighbor_sets: Dict[Node, set] = {
         u: {v for v in nodes if v != u and adjacent(u, v)} for u in nodes
     }

@@ -10,7 +10,8 @@ distance-checked brute force and the Apriori algorithm need.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Tuple, Union
+from array import array
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import NodeNotFoundError
 from .multigraph import DirectedMultigraph
@@ -34,6 +35,8 @@ class DistanceOracle:
 
     def __init__(self, graph: AnyGraph) -> None:
         self._table: Dict[Node, Dict[Node, int]] = all_pairs_shortest_paths(graph)
+        #: ``(nodes, flat table)`` of the last :meth:`dense` call.
+        self._dense: Optional[Tuple[Tuple[Node, ...], array]] = None
 
     def distance(self, u: Node, v: Node) -> float:
         """Shortest undirected hop distance between ``u`` and ``v``."""
@@ -44,6 +47,29 @@ class DistanceOracle:
         if v not in self._table:
             raise NodeNotFoundError(v)
         return row.get(v, INFINITY)
+
+    def dense(self, nodes: Sequence[Node]) -> memoryview:
+        """All distances among ``nodes`` as one read-only float64 table.
+
+        Row-major and flat: entry ``i * len(nodes) + j`` is
+        ``distance(nodes[i], nodes[j])``, :data:`INFINITY` for an
+        unreachable pair.  An unknown node raises
+        :class:`~repro.exceptions.NodeNotFoundError`, as in
+        :meth:`distance`.  The table for the last ``nodes`` tuple is
+        cached, so every clique group of one schema shares one build;
+        the schema drops the whole oracle when it mutates.
+        """
+        key = tuple(nodes)
+        if self._dense is None or self._dense[0] != key:
+            try:
+                rows = [self._table[u] for u in key]
+            except KeyError as exc:
+                raise NodeNotFoundError(exc.args[0]) from None
+            flat = array("d")
+            for row in rows:
+                flat.extend([row.get(v, INFINITY) for v in key])
+            self._dense = (key, flat)
+        return memoryview(self._dense[1]).toreadonly()
 
     def within(self, u: Node, v: Node, d: float) -> bool:
         """True when ``dist(u, v) <= d`` (tight-preview adjacency)."""

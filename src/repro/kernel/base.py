@@ -29,6 +29,13 @@ Every backend honors the same contract:
 * ``batch_scores(columns, subsets, extra_cap)`` returns one
   ``Optional[float]`` per subset (None = infeasible) — the conformance
   surface the property tests diff against :class:`OracleBackend`.
+* ``qualifying_subsets(nodes, oracle, distance, k)`` enumerates the
+  k-subsets of ``nodes`` whose pairs all satisfy ``distance`` (Alg. 3's
+  first step) in :func:`~repro.graph.cliques.apriori_k_cliques` order,
+  so score ties break the same way under every backend.  The default
+  *is* that level-wise join; a backend may return any read-only
+  sequence of key tuples in the same order that its own scoring reads
+  efficiently.
 
 :class:`OracleBackend` *is* the retained per-subset path: it runs the
 original heap merge for each subset, so any batched backend can be
@@ -38,9 +45,11 @@ checked against it on arbitrary pools.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..exceptions import UnknownTypeError
+from ..graph.cliques import k_cliques
 from ..model.ids import TypeId
 
 #: A batch of key subsets, each a tuple of entity-type ids.
@@ -97,6 +106,19 @@ def observe_lowering(backend: str, rows: int, seconds: float) -> None:
     plan.observe_lowering(backend, rows, seconds)
 
 
+def subset_members(subsets: Subsets) -> FrozenSet[TypeId]:
+    """The distinct key types that occur in at least one of ``subsets``.
+
+    A compact group from :meth:`KernelBackend.qualifying_subsets` that
+    offers ``members()`` answers from its distinct member ids; any other
+    sequence is scanned tuple by tuple.
+    """
+    members = getattr(subsets, "members", None)
+    if members is not None:
+        return members()
+    return frozenset(chain.from_iterable(subsets))
+
+
 def resolve_indices(index: Dict[TypeId, int], keys: Sequence[TypeId]) -> List[int]:
     """Map a key subset to pool row indices; unknown keys raise."""
     try:
@@ -126,6 +148,19 @@ class KernelBackend:
     ) -> List[Optional[float]]:
         """Per-subset scores (None = infeasible), positionally aligned."""
         raise NotImplementedError
+
+    def qualifying_subsets(
+        self, nodes: Sequence[TypeId], oracle, distance, k: int
+    ) -> Subsets:
+        """k-subsets of ``nodes`` whose every pair satisfies ``distance``.
+
+        ``oracle`` is the schema's
+        :class:`~repro.graph.distance.DistanceOracle` and ``distance`` a
+        :class:`~repro.core.constraints.DistanceConstraint`.  The
+        default runs the paper's level-wise join over per-pair checks
+        and returns a list of tuples.
+        """
+        return k_cliques(nodes, lambda a, b: distance.pair_ok(oracle, a, b), k)
 
 
 class OracleBackend(KernelBackend):

@@ -1,36 +1,96 @@
-"""Optional numpy backend — vectorized batch scoring.
+"""Optional numpy backend — vectorized clique enumeration and batch scoring.
 
 Imported only when selected (``REPRO_KERNEL=numpy`` or ``auto`` with
 numpy installed); the module import itself fails cleanly when numpy is
 absent, and :mod:`repro.kernel` turns that into a
 :class:`~repro.exceptions.KernelError`.
 
-Lowering pads the per-type weighted rows into one ``(K, W)`` float64
-rectangle with a row-length validity vector; per extra budget a
-``(K, cap)`` strictly-positive tail rectangle is cached.  A batch of
-``B`` k-subsets becomes a ``(B, k)`` index matrix — resolved once per
-call with ``np.fromiter`` over C-level iterators, the dominant python
-cost at batch sizes in the hundreds of thousands.  Scoring gathers the
-top-1 column and the tail rectangles, keeps the ``cap`` largest tail
-values per subset via ``np.partition``, and accumulates *column by
-column* — never ``np.sum`` over the reduction axis, whose pairwise
-summation would break bit-identity with the sequential oracle.  Sorted
-equal floats commute exactly and zero padding adds ``+0.0`` to
-non-negative partial sums, so every score matches the heap merge bit
-for bit.  Gather temporaries are bounded by processing
-:data:`~repro.kernel.base.BATCH_SIZE` rows at a time.
+**Enumeration.**  :meth:`NumpyBackend.qualifying_subsets` runs Alg. 3's
+first step over integer ids.  L2 seeding is one threshold of the
+schema's dense distance table (``dist <= d`` tight, ``dist >= d``
+diverse, diagonal excluded); each join level keeps, per row, the nodes
+above its last member that are compatible with every member, and
+``np.nonzero`` emits them in row-major order — the lexicographic order
+of :func:`~repro.graph.cliques.apriori_k_cliques`, so every tie-break
+is unchanged.  The group comes back as a :class:`SubsetMatrix`: one
+``(m, k)`` matrix of node indices in the smallest unsigned dtype that
+holds them, behind a read-only sequence of key tuples, with no
+per-subset Python objects.
+
+**Scoring.**  Lowering pads the per-type weighted rows into one
+``(K, W)`` float64 rectangle with a row-length validity vector; per
+extra budget a ``(K, cap)`` strictly-positive tail rectangle is cached.
+A batch becomes a ``(B, k)`` pool-row matrix: a :class:`SubsetMatrix`
+maps its ``nodes`` to pool rows once and indexes its matrix through
+that table; any other sequence of tuples is resolved with
+``np.fromiter``, which costs a Python-level lookup per key.  Scoring
+gathers the top-1 column and the tail rectangles, keeps the ``cap``
+largest tail values per subset via ``np.partition``, and accumulates
+*column by column* — never ``np.sum`` over the reduction axis, whose
+pairwise summation would break bit-identity with the sequential
+oracle.  Sorted equal floats commute exactly and zero padding adds
+``+0.0`` to non-negative partial sums, so every score matches the heap
+merge bit for bit.  Join and gather temporaries are bounded by
+processing :data:`~repro.kernel.base.BATCH_SIZE` rows at a time.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from collections.abc import Sequence
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 import numpy as np
 
+from ..core.constraints import DistanceMode
 from ..exceptions import UnknownTypeError
+from ..graph.cliques import clique_index
+from ..model.ids import TypeId
 from .base import BATCH_SIZE, KernelBackend, observe_lowering
+
+
+class SubsetMatrix(Sequence):
+    """Key subsets held as one ``(m, k)`` matrix of indices into ``nodes``.
+
+    A read-only sequence of key tuples: ``len``, an int index (a tuple
+    of type ids), a slice (another :class:`SubsetMatrix` over a view of
+    the rows), iteration and pickling behave as on the equivalent list,
+    so every consumer that reads subsets as tuples works unchanged.
+    :class:`NumpyBackend` scores the matrix as it stands.
+    """
+
+    __slots__ = ("nodes", "rows")
+
+    def __init__(self, nodes: Tuple[TypeId, ...], rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        self.nodes = nodes
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return SubsetMatrix(self.nodes, self.rows[at])
+        nodes = self.nodes
+        return tuple([nodes[i] for i in self.rows[operator.index(at)].tolist()])
+
+    def __iter__(self) -> Iterator[Tuple[TypeId, ...]]:
+        nodes = self.nodes
+        for start in range(0, len(self), BATCH_SIZE):
+            for row in self.rows[start : start + BATCH_SIZE].tolist():
+                yield tuple([nodes[i] for i in row])
+
+    def __reduce__(self):
+        return SubsetMatrix, (self.nodes, self.rows)
+
+    def members(self) -> FrozenSet[TypeId]:
+        """The distinct types that occur in at least one subset."""
+        present = np.zeros(len(self.nodes), dtype=bool)
+        present[self.rows.ravel()] = True
+        return frozenset(self.nodes[i] for i in np.flatnonzero(present).tolist())
 
 
 class NumpyColumns:
@@ -133,10 +193,38 @@ class NumpyBackend(KernelBackend):
                     acc += merged[:, j]
         return np.where(feasible, acc, -np.inf)
 
+    def _matrix_scores(
+        self, columns: NumpyColumns, subsets: SubsetMatrix, extra_cap: int
+    ) -> np.ndarray:
+        """:meth:`_scores_array` for a :class:`SubsetMatrix`, no per-key lookups."""
+        nodes = subsets.nodes
+        lookup = np.fromiter(
+            (columns.index.get(node, -1) for node in nodes),
+            dtype=np.intp,
+            count=len(nodes),
+        )
+        rows = subsets.rows
+        missing = lookup < 0
+        if missing.any():
+            # Raise for the first unknown key in row-major order, the
+            # key a per-tuple resolution would have stopped at.
+            unknown = missing[rows].ravel()
+            if unknown.any():
+                at = int(np.argmax(unknown))
+                raise UnknownTypeError(nodes[int(rows.ravel()[at])])
+        scores = np.empty(len(rows), dtype=np.float64)
+        for start in range(0, len(rows), BATCH_SIZE):
+            scores[start : start + BATCH_SIZE] = self._uniform_scores(
+                columns, lookup[rows[start : start + BATCH_SIZE]], extra_cap
+            )
+        return scores
+
     def _scores_array(
         self, columns: NumpyColumns, subsets, extra_cap: int
     ) -> np.ndarray:
         """One score per subset (``-inf`` = infeasible), original order."""
+        if isinstance(subsets, SubsetMatrix):
+            return self._matrix_scores(columns, subsets, extra_cap)
         total = len(subsets)
         arities = np.fromiter(map(len, subsets), dtype=np.intp, count=total)
         scores = np.empty(total, dtype=np.float64)
@@ -164,8 +252,65 @@ class NumpyBackend(KernelBackend):
         return scores
 
     # ------------------------------------------------------------------
+    # Enumeration
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _join(level: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
+        """Level ``i + 1`` of the Apriori join from lexicographic level ``i``.
+
+        Row ``r`` extends by every node above its last member that is
+        adjacent to all of its members; ``np.nonzero`` yields ``(r,
+        node)`` pairs row-major, so the result stays lexicographic.
+        ``level`` must be non-empty.
+        """
+        above = np.arange(adjacent.shape[0])
+        parts = []
+        for start in range(0, len(level), BATCH_SIZE):
+            chunk = level[start : start + BATCH_SIZE]
+            extend = above > chunk[:, -1:]
+            for j in range(chunk.shape[1]):
+                extend &= adjacent[chunk[:, j]]
+            parent, tail = np.nonzero(extend)
+            parts.append(
+                np.concatenate(
+                    (chunk[parent], tail.astype(level.dtype)[:, None]), axis=1
+                )
+            )
+        return np.concatenate(parts)
+
+    # ------------------------------------------------------------------
     # KernelBackend surface
     # ------------------------------------------------------------------
+    def qualifying_subsets(self, nodes, oracle, distance, k) -> SubsetMatrix:
+        """The level-wise join over a dense compatibility matrix."""
+        nodes = tuple(nodes)
+        clique_index(nodes, k)
+        count = len(nodes)
+        dtype = np.min_scalar_type(max(count - 1, 0))
+        if k == 0:  # the vacuous clique
+            return SubsetMatrix(nodes, np.empty((1, 0), dtype=dtype))
+        if k == 1:
+            return SubsetMatrix(nodes, np.arange(count, dtype=dtype)[:, None])
+        if count < 2:  # no pair to check, so no distance is read
+            return SubsetMatrix(nodes, np.empty((0, k), dtype=dtype))
+        table = np.frombuffer(oracle.dense(nodes), dtype=np.float64).reshape(
+            count, count
+        )
+        if distance.mode is DistanceMode.TIGHT:
+            adjacent = table <= distance.d
+        else:
+            adjacent = table >= distance.d
+        # L2 seeding (Alg. 3 lines 1-5): pairs i < j, lexicographic.
+        first, second = np.nonzero(np.triu(adjacent, 1))
+        level = np.stack((first, second), axis=1).astype(dtype)
+        # Joins (lines 6-12).  The diagonal never matters: a row only
+        # extends by nodes above its last member.
+        while level.shape[1] < k and len(level):
+            level = self._join(level, adjacent)
+        if level.shape[1] != k:
+            level = np.empty((0, k), dtype=dtype)
+        return SubsetMatrix(nodes, level)
+
     def best_allocation(self, columns, subsets, extra_cap):
         """Vectorized best-allocation over the whole batch."""
         if not subsets:

@@ -208,7 +208,7 @@ class ShardedExecutor:
                 (
                     snapshot,
                     start,
-                    list(subsets[start:start + size]),
+                    subsets[start:start + size],
                     cap,
                     backend_name,
                 )

@@ -64,6 +64,13 @@ class TestKCliques:
         with pytest.raises(GraphError):
             backend(nodes, adjacent, -1)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_duplicate_nodes_rejected(self, backend, k):
+        with pytest.raises(GraphError, match="distinct"):
+            backend(["a", "a", "b"], lambda u, v: True, k)
+        with pytest.raises(GraphError, match="distinct"):
+            backend(["a", "a"], lambda u, v: True, k)
+
 
 class TestBackendsAgree:
     @pytest.mark.parametrize("seed", range(5))
@@ -96,7 +103,3 @@ class TestDispatch:
         nodes, adjacent = diamond
         with pytest.raises(GraphError):
             k_cliques(nodes, adjacent, 2, backend="magic")
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(GraphError):
-            apriori_k_cliques(["a", "a"], lambda u, v: True, 2)
