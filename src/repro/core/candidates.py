@@ -250,7 +250,7 @@ def sharded_discover(
     the caller's ``algorithm`` label.
 
     Small batches never reach the worker pool: below the dispatch
-    threshold (see :mod:`repro.kernel.plan`) one serial kernel call is
+    threshold (see :mod:`repro.plan`) one serial kernel call is
     cheaper than a single snapshot pickle round-trip, so the evaluation
     runs inline regardless of ``jobs``.
     """

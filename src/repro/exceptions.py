@@ -76,9 +76,9 @@ class DiskStoreError(StoreError):
 
     Raised by :mod:`repro.store.disk` for every corruption shape —
     truncation, a bad magic/version, section bounds outside the file,
-    dangling dictionary offsets, or a materialized graph whose
-    fingerprint no longer matches the header — so a damaged store file
-    always fails loudly instead of answering queries from bad data.
+    dangling dictionary offsets, a checksum mismatch, or a materialized
+    graph whose fingerprint no longer matches the header — so a damaged
+    store file always fails loudly instead of materializing bad data.
     """
 
 

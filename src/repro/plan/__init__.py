@@ -1,6 +1,6 @@
 """Adaptive execution planning for subset scoring (``repro.plan``).
 
-The subsystem that grew out of ``repro.kernel.plan``'s single static
+The subsystem that grew out of the kernel's single static dispatch
 threshold: a :class:`CostModel` of measured per-backend timings, a
 :class:`Planner` that picks serial or sharded execution per call site,
 adaptive shard sizing, and process-wide decision counters surfaced

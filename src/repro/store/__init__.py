@@ -1,9 +1,9 @@
 """Triple-store substrate: indexed storage, pattern queries, persistence.
 
 :mod:`repro.store.disk` adds the persistent binary backend — a single
-``.rgs`` file with a sorted string dictionary, mmap-backed triple
-permutations and interval indexes — opened in O(header) time by
-:func:`open_store`.
+checksummed ``.rgs`` file holding a string dictionary and the graph's
+recorded orders — opened in O(header) time by :func:`open_store` and
+materialized by :meth:`DiskGraphStore.entity_graph`.
 """
 
 from .disk import STORE_EXTENSION, DiskGraphStore, build_store, open_store

@@ -9,15 +9,16 @@ validating the header, never walking the data — so serve hosts,
 replicas and the workload oracle cold-start in O(header) instead of
 regenerating and rebuilding O(entities) of state.
 
-File format (version 1, little-endian)
+File format (version 2, little-endian)
 --------------------------------------
 A fixed :data:`MAGIC` header (version, total size, generation, counts,
-the graph's ``sha256:`` fingerprint) is followed by a table of
-``(offset, length)`` pairs, one per section in :data:`SECTION_NAMES`:
+a CRC-32 checksum, the graph's ``sha256:`` fingerprint) is followed by
+a table of ``(offset, length)`` pairs, one per section in
+:data:`SECTION_NAMES`:
 
-* a **sorted string dictionary** (``dict_offsets`` + ``dict_blob``):
-  every term once, sorted, so dictionary ids order exactly like the
-  strings they stand for and ``string -> id`` is a binary search;
+* a **string dictionary** (``dict_offsets`` + ``dict_blob``): every
+  term once, sorted, so the file's bytes do not depend on the order a
+  set of strings happens to iterate in;
 * the **order-preserving graph encoding** (``type_order``,
   ``entity_ids``, ``entity_type_offsets``/``entity_type_indexes``,
   ``reltype_table``, ``relationships``): entities in insertion order,
@@ -25,23 +26,15 @@ the graph's ``sha256:`` fingerprint) is followed by a table of
   that global order, relationship instances in insertion order — the
   exact codec :func:`~repro.replicate.snapshot.capture_snapshot` uses,
   so the materialized graph is bit-identical to the source and its
-  fingerprint provably matches the header;
-* **flat triple arrays** in all three permutation orders (``spo``,
-  ``pos``, ``osp``): one ``(term, term, term, count)`` row of u64
-  dictionary ids per distinct triple, sorted per permutation, so every
-  pattern scan is a binary-searched range scan;
-* **interval indexes** (``type_intervals``/``type_members`` and the
-  ``adjacency_offsets``/``adjacency_targets`` CSR): "all entities of
-  type τ" is one ``[start, end)`` slice of a sorted members array, and
-  k-hop neighborhood membership walks sorted adjacency ranges — the
-  XPath-accelerator-style interval encoding the ROADMAP cites, in
-  place of dict-of-set traversal.
+  fingerprint provably matches the header.
+
+The file holds only what :meth:`DiskGraphStore.entity_graph` reads.
 
 Every corruption shape — truncation, bad magic or version, section
-bounds outside the file, dangling dictionary offsets, a fingerprint
-that no longer matches the materialized graph — raises
+bounds outside the file, dangling dictionary offsets, a checksum or a
+fingerprint that no longer matches — raises
 :class:`~repro.exceptions.DiskStoreError` with a diagnostic; a damaged
-store never answers queries.  See ``docs/disk-store.md``.
+store never materializes.  See ``docs/disk-store.md``.
 """
 
 from __future__ import annotations
@@ -51,14 +44,13 @@ import os
 import re
 import struct
 import sys
+import zlib
 from array import array
-from collections import Counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..exceptions import DiskStoreError, ModelError, ReplicationError
 from ..model.entity_graph import EntityGraph
-from ..model.ids import RelationshipTypeId, qualified_name
-from ..model.triples import TYPE_PREDICATE, Triple
+from ..model.ids import RelationshipTypeId
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -67,7 +59,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 MAGIC = b"\x89RGS\r\n\x1a\n"
 
 #: Current file-format version; readers reject anything else.
-VERSION = 1
+VERSION = 2
 
 #: The canonical store-file extension (``repro graph store``).
 STORE_EXTENSION = ".rgs"
@@ -80,20 +72,17 @@ SECTION_NAMES = (
     "entity_ids",
     "entity_type_offsets",
     "entity_type_indexes",
-    "entity_index",
     "reltype_table",
     "relationships",
-    "spo",
-    "pos",
-    "osp",
-    "type_intervals",
-    "type_members",
-    "adjacency_offsets",
-    "adjacency_targets",
 )
 
-#: magic, version, header_size, then 9 u64 counts, then fingerprint.
+#: magic, version, header_size, then 9 u64s (total size, generation,
+#: graph name id, five counts, checksum), then the fingerprint.
 _HEADER = struct.Struct("<8sII9Q72s")
+
+#: The checksum field: the CRC-32 of every other byte of the file.
+_CHECKSUM = struct.Struct("<Q")
+_CHECKSUM_OFFSET = struct.calcsize("<8sII8Q")
 
 #: One (offset, length) pair per section.
 _SECTION_ENTRY = struct.Struct("<QQ")
@@ -101,6 +90,12 @@ _SECTION_ENTRY = struct.Struct("<QQ")
 _HEADER_SIZE = _HEADER.size + _SECTION_ENTRY.size * len(SECTION_NAMES)
 
 _FINGERPRINT_RE = re.compile(r"^sha256:[0-9a-f]{64}$")
+
+
+def _crc32_around_checksum(data) -> int:
+    """CRC-32 of ``data`` with the checksum field's bytes left out."""
+    head = zlib.crc32(data[:_CHECKSUM_OFFSET])
+    return zlib.crc32(data[_CHECKSUM_OFFSET + _CHECKSUM.size:], head)
 
 
 def _pack_u64(values: Sequence[int]) -> bytes:
@@ -126,36 +121,14 @@ def _u64_view(buffer: memoryview, offset: int, length: int):
     return window.cast("Q")
 
 
-def _bisect_rows(view, width: int, prefix: Tuple[int, ...], upper: bool) -> int:
-    """Lower (or upper) bound of ``prefix`` among fixed-width u64 rows."""
-    k = len(prefix)
-    lo, hi = 0, len(view) // width
-    while lo < hi:
-        mid = (lo + hi) // 2
-        base = mid * width
-        row_prefix = tuple(view[base:base + k])
-        if row_prefix < prefix or (upper and row_prefix == prefix):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _equal_range(view, width: int, prefix: Tuple[int, ...]) -> Tuple[int, int]:
-    """The ``[start, end)`` row range whose prefix equals ``prefix``."""
-    return (
-        _bisect_rows(view, width, prefix, upper=False),
-        _bisect_rows(view, width, prefix, upper=True),
-    )
-
-
 def build_store(graph: EntityGraph, path: PathLike) -> int:
     """Serialize ``graph`` into a binary store file; returns bytes written.
 
     The graph's insertion orders, first-seen type order and
     ``graph_fingerprint`` are recorded so :meth:`DiskGraphStore.entity_graph`
     reproduces the graph bit-identically (same orders, same generation,
-    verified fingerprint).
+    verified fingerprint), and the header seals the whole file with a
+    CRC-32.
 
     Raises
     ------
@@ -176,13 +149,9 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
 
     strings = set(entities)
     strings.update(type_order)
-    strings.add(TYPE_PREDICATE)
     strings.add(graph.name)
-    qualified = {}
     for rel in reltypes:
         strings.update((rel.name, rel.source_type, rel.target_type))
-        qualified[rel] = qualified_name(rel)
-        strings.add(qualified[rel])
     ordered_strings = sorted(strings)
     sid = {text: i for i, text in enumerate(ordered_strings)}
 
@@ -206,10 +175,6 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
             entity_type_indexes.append(rank)
         entity_type_offsets.append(len(entity_type_indexes))
 
-    entity_index: List[int] = []
-    for entity in sorted(entities):
-        entity_index.extend((sid[entity], entity_rows[entity]))
-
     reltype_rank = {rel: i for i, rel in enumerate(reltypes)}
     reltype_table: List[int] = []
     for rel in reltypes:
@@ -223,45 +188,6 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
             (entity_rows[source], reltype_rank[rel], entity_rows[target])
         )
 
-    type_id = sid[TYPE_PREDICATE]
-    triple_counts: Counter = Counter()
-    for entity in entities:
-        for rank in sorted(type_rank[t] for t in graph.types_of(entity)):
-            triple_counts[(sid[entity], type_id, sid[type_order[rank]])] += 1
-    for source, target, rel in relationships:
-        triple_counts[(sid[source], sid[qualified[rel]], sid[target])] += 1
-    spo_rows = sorted(triple_counts)
-    spo: List[int] = []
-    pos_list: List[int] = []
-    osp: List[int] = []
-    for s, p, o in spo_rows:
-        spo.extend((s, p, o, triple_counts[(s, p, o)]))
-    for p, o, s in sorted((p, o, s) for s, p, o in spo_rows):
-        pos_list.extend((p, o, s, triple_counts[(s, p, o)]))
-    for o, s, p in sorted((o, s, p) for s, p, o in spo_rows):
-        osp.extend((o, s, p, triple_counts[(s, p, o)]))
-
-    type_intervals: List[int] = []
-    type_members: List[int] = []
-    for type_name in type_order:
-        members = sorted(
-            entity_rows[entity] for entity in graph.entities_of_type(type_name)
-        )
-        type_intervals.extend((len(type_members), len(type_members) + len(members)))
-        type_members.extend(members)
-
-    neighbors: List[set] = [set() for _ in entities]
-    for source, target, _rel in relationships:
-        source_row = entity_rows[source]
-        target_row = entity_rows[target]
-        neighbors[source_row].add(target_row)
-        neighbors[target_row].add(source_row)
-    adjacency_offsets = [0]
-    adjacency_targets: List[int] = []
-    for row_neighbors in neighbors:
-        adjacency_targets.extend(sorted(row_neighbors))
-        adjacency_offsets.append(len(adjacency_targets))
-
     # dict_blob goes last so every u64 section stays 8-byte aligned.
     payloads = {
         "dict_offsets": _pack_u64(dict_offsets),
@@ -270,16 +196,8 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
         "entity_ids": _pack_u64([sid[e] for e in entities]),
         "entity_type_offsets": _pack_u64(entity_type_offsets),
         "entity_type_indexes": _pack_u64(entity_type_indexes),
-        "entity_index": _pack_u64(entity_index),
         "reltype_table": _pack_u64(reltype_table),
         "relationships": _pack_u64(relationship_rows),
-        "spo": _pack_u64(spo),
-        "pos": _pack_u64(pos_list),
-        "osp": _pack_u64(osp),
-        "type_intervals": _pack_u64(type_intervals),
-        "type_members": _pack_u64(type_members),
-        "adjacency_offsets": _pack_u64(adjacency_offsets),
-        "adjacency_targets": _pack_u64(adjacency_targets),
     }
     write_order = [name for name in SECTION_NAMES if name != "dict_blob"]
     write_order.append("dict_blob")
@@ -291,28 +209,32 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
         cursor += len(payloads[name])
     total_size = cursor
 
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        _HEADER_SIZE,
-        total_size,
-        graph.generation,
-        sid[graph.name],
-        len(ordered_strings),
-        len(entities),
-        len(type_order),
-        len(reltypes),
-        len(relationships),
-        len(spo_rows),
-        fingerprint.encode("ascii").ljust(72, b"\x00"),
+    header = bytearray(
+        _HEADER.pack(
+            MAGIC,
+            VERSION,
+            _HEADER_SIZE,
+            total_size,
+            graph.generation,
+            sid[graph.name],
+            len(ordered_strings),
+            len(entities),
+            len(type_order),
+            len(reltypes),
+            len(relationships),
+            0,  # the checksum, sealed once the section table is in place
+            fingerprint.encode("ascii").ljust(72, b"\x00"),
+        )
     )
-    table = b"".join(
-        _SECTION_ENTRY.pack(*sections[name]) for name in SECTION_NAMES
-    )
+    for name in SECTION_NAMES:
+        header += _SECTION_ENTRY.pack(*sections[name])
+    checksum = _crc32_around_checksum(header)
+    for name in write_order:
+        checksum = zlib.crc32(payloads[name], checksum)
+    _CHECKSUM.pack_into(header, _CHECKSUM_OFFSET, checksum)
     try:
         with open(path, "wb") as handle:
             handle.write(header)
-            handle.write(table)
             for name in write_order:
                 handle.write(payloads[name])
     except OSError as exc:
@@ -325,9 +247,9 @@ class DiskGraphStore:
 
     Opening is O(header): the magic, version, sizes, section bounds and
     fingerprint format are validated, and *nothing else is read* until
-    a query or :meth:`entity_graph` touches the mapped sections (the OS
-    pages them in on demand).  Use as a context manager, or call
-    :meth:`close`.
+    :meth:`entity_graph` (or the dictionary lookup behind :attr:`name`)
+    touches the mapped sections (the OS pages them in on demand).  Use
+    as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -372,7 +294,7 @@ class DiskGraphStore:
             self.type_count,
             self.reltype_count,
             self.relationship_count,
-            self.triple_count,
+            self._checksum,
             fingerprint_raw,
         ) = _HEADER.unpack_from(self._view, 0)
         if magic != MAGIC:
@@ -423,14 +345,8 @@ class DiskGraphStore:
             "type_order": self.type_count * 8,
             "entity_ids": self.entity_count * 8,
             "entity_type_offsets": (self.entity_count + 1) * 8,
-            "entity_index": self.entity_count * 16,
             "reltype_table": self.reltype_count * 24,
             "relationships": self.relationship_count * 24,
-            "spo": self.triple_count * 32,
-            "pos": self.triple_count * 32,
-            "osp": self.triple_count * 32,
-            "type_intervals": self.type_count * 16,
-            "adjacency_offsets": (self.entity_count + 1) * 8,
         }
         for name, expected in expected_lengths.items():
             actual = self._sections[name][1]
@@ -439,12 +355,12 @@ class DiskGraphStore:
                     f"{self._path}: section {name!r} holds {actual} bytes "
                     f"but the header counts imply {expected}"
                 )
-        for name in ("entity_type_indexes", "type_members", "adjacency_targets"):
-            if self._sections[name][1] % 8:
-                raise DiskStoreError(
-                    f"{self._path}: section {name!r} length "
-                    f"{self._sections[name][1]} is not a whole number of u64s"
-                )
+        indexes_length = self._sections["entity_type_indexes"][1]
+        if indexes_length % 8:
+            raise DiskStoreError(
+                f"{self._path}: section 'entity_type_indexes' length "
+                f"{indexes_length} is not a whole number of u64s"
+            )
         if self._name_id >= self.dict_count:
             raise DiskStoreError(
                 f"{self._path}: graph name id {self._name_id} is outside "
@@ -524,19 +440,6 @@ class DiskGraphStore:
             bad = next(i for i in ids if i >= self.dict_count)
             raise self._outside_dictionary(bad) from None
 
-    def string_id(self, text: str) -> Optional[int]:
-        """The dictionary id of ``text`` (binary search), or ``None``."""
-        lo, hi = 0, self.dict_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.string(mid) < text:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self.dict_count and self.string(lo) == text:
-            return lo
-        return None
-
     # ------------------------------------------------------------------
     # Header-level introspection
     # ------------------------------------------------------------------
@@ -552,7 +455,6 @@ class DiskGraphStore:
 
     def describe(self) -> Dict[str, object]:
         """O(header) store summary (the ``dataset info`` payload)."""
-        offset, length = self._sections["dict_blob"]
         return {
             "path": self._path,
             "format": {"magic": "RGS", "version": VERSION},
@@ -565,7 +467,6 @@ class DiskGraphStore:
                 "entity_types": self.type_count,
                 "relationship_types": self.reltype_count,
                 "relationships": self.relationship_count,
-                "distinct_triples": self.triple_count,
                 "dictionary_strings": self.dict_count,
             },
             "sections": {
@@ -578,171 +479,6 @@ class DiskGraphStore:
         }
 
     # ------------------------------------------------------------------
-    # Interval-indexed queries
-    # ------------------------------------------------------------------
-    def _type_rank(self, type_name: str) -> Optional[int]:
-        type_id = self.string_id(type_name)
-        if type_id is None:
-            return None
-        order = self._section("type_order")
-        for rank in range(self.type_count):
-            if order[rank] == type_id:
-                return rank
-        return None
-
-    def type_interval(self, type_name: str) -> Tuple[int, int]:
-        """The ``[start, end)`` slice of ``type_members`` for a type.
-
-        Raises
-        ------
-        DiskStoreError
-            For a type the store does not contain.
-        """
-        rank = self._type_rank(type_name)
-        if rank is None:
-            raise DiskStoreError(
-                f"{self._path}: unknown entity type {type_name!r}"
-            )
-        intervals = self._section("type_intervals")
-        return intervals[2 * rank], intervals[2 * rank + 1]
-
-    def entities_of_type(self, type_name: str) -> Tuple[str, ...]:
-        """All entities of ``type_name``, via one interval range scan."""
-        start, end = self.type_interval(type_name)
-        members = self._section("type_members")
-        entity_ids = self._section("entity_ids")
-        return tuple(
-            self.string(entity_ids[members[i]]) for i in range(start, end)
-        )
-
-    def entity_row(self, entity: str) -> Optional[int]:
-        """The storage row of ``entity`` (binary search), or ``None``."""
-        entity_id = self.string_id(entity)
-        if entity_id is None:
-            return None
-        index = self._section("entity_index")
-        lo, hi = 0, self.entity_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if index[2 * mid] < entity_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self.entity_count and index[2 * lo] == entity_id:
-            return index[2 * lo + 1]
-        return None
-
-    def neighborhood(self, entity: str, hops: int = 1) -> "frozenset":
-        """Entities within ``hops`` undirected hops of ``entity``.
-
-        A breadth-first walk over the CSR adjacency index (sorted
-        neighbor ranges, no graph object in sight); includes ``entity``
-        itself.
-
-        Raises
-        ------
-        DiskStoreError
-            For an entity the store does not contain, or hops < 0.
-        """
-        if hops < 0:
-            raise DiskStoreError(f"neighborhood hops must be >= 0, got {hops}")
-        row = self.entity_row(entity)
-        if row is None:
-            raise DiskStoreError(f"{self._path}: unknown entity {entity!r}")
-        offsets = self._section("adjacency_offsets")
-        targets = self._section("adjacency_targets")
-        seen = {row}
-        frontier = [row]
-        for _ in range(hops):
-            next_frontier = []
-            for current in frontier:
-                for i in range(offsets[current], offsets[current + 1]):
-                    neighbor = targets[i]
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        next_frontier.append(neighbor)
-            if not next_frontier:
-                break
-            frontier = next_frontier
-        entity_ids = self._section("entity_ids")
-        return frozenset(self.string(entity_ids[r]) for r in seen)
-
-    # ------------------------------------------------------------------
-    # Triple scans
-    # ------------------------------------------------------------------
-    def triples(self) -> Iterator[Tuple[Triple, int]]:
-        """All distinct ``(triple, count)`` pairs in SPO order."""
-        view = self._section("spo")
-        for i in range(self.triple_count):
-            s, p, o, count = view[4 * i:4 * i + 4]
-            yield Triple(self.string(s), self.string(p), self.string(o)), count
-
-    def scan_counted(
-        self,
-        subject: Optional[str] = None,
-        predicate: Optional[str] = None,
-        object: Optional[str] = None,
-    ) -> Iterator[Tuple[Triple, int]]:
-        """Pattern scan: ``(triple, count)`` pairs matching the bound terms.
-
-        Picks the permutation whose sort order turns the bound terms
-        into a row prefix (SPO for subject, POS for predicate, OSP for
-        object) and binary-searches the matching row range — never a
-        full walk unless nothing is bound.
-        """
-        bound = []
-        for term in (subject, predicate, object):
-            if term is None:
-                bound.append(None)
-                continue
-            term_id = self.string_id(term)
-            if term_id is None:
-                return
-            bound.append(term_id)
-        s_id, p_id, o_id = bound
-        if s_id is not None:
-            view = self._section("spo")
-            prefix = [s_id]
-            if p_id is not None:
-                prefix.append(p_id)
-                if o_id is not None:
-                    prefix.append(o_id)
-            start, end = _equal_range(view, 4, tuple(prefix))
-            for i in range(start, end):
-                s, p, o, count = view[4 * i:4 * i + 4]
-                if p_id is None and o_id is not None and o != o_id:
-                    continue
-                yield (
-                    Triple(self.string(s), self.string(p), self.string(o)),
-                    count,
-                )
-            return
-        if p_id is not None:
-            view = self._section("pos")
-            prefix = [p_id]
-            if o_id is not None:
-                prefix.append(o_id)
-            start, end = _equal_range(view, 4, tuple(prefix))
-            for i in range(start, end):
-                p, o, s, count = view[4 * i:4 * i + 4]
-                yield (
-                    Triple(self.string(s), self.string(p), self.string(o)),
-                    count,
-                )
-            return
-        if o_id is not None:
-            view = self._section("osp")
-            start, end = _equal_range(view, 4, (o_id,))
-            for i in range(start, end):
-                o, s, p, count = view[4 * i:4 * i + 4]
-                yield (
-                    Triple(self.string(s), self.string(p), self.string(o)),
-                    count,
-                )
-            return
-        yield from self.triples()
-
-    # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
     def entity_graph(self, verify: bool = True) -> EntityGraph:
@@ -753,7 +489,8 @@ class DiskGraphStore:
         order, and the mutation log is fast-forwarded to the stored
         generation — exactly the
         :func:`~repro.replicate.snapshot.restore_snapshot` contract.
-        The dictionary and each section are decoded once, and one
+        The whole file is first checked against the header's CRC-32.
+        The dictionary and each section are then decoded once, and one
         :meth:`~repro.model.entity_graph.EntityGraph.bulk_load` replays
         them with every per-entity and per-edge check.  With ``verify``
         (the default) the materialized graph's fingerprint is recomputed
@@ -762,11 +499,19 @@ class DiskGraphStore:
         Raises
         ------
         DiskStoreError
-            For any structural corruption (out-of-range ids, schema
-            violations) or a fingerprint mismatch.
+            For a checksum mismatch, any structural corruption
+            (out-of-range ids, schema violations) or a fingerprint
+            mismatch.
         """
         from ..datasets.loader import graph_fingerprint
 
+        actual_checksum = _crc32_around_checksum(self._view)
+        if actual_checksum != self._checksum:
+            raise DiskStoreError(
+                f"{self._path}: checksum mismatch — the file's bytes give "
+                f"CRC-32 {actual_checksum:#010x} but the header pins "
+                f"{self._checksum:#010x}; the store file is corrupt"
+            )
         strings = self._strings()
         type_names = self._decoded_section(strings, "type_order")
         entity_names = self._decoded_section(strings, "entity_ids")

@@ -1,23 +1,23 @@
 """The persistent binary graph store (repro.store.disk).
 
-Three properties carry the module:
+Two properties carry the module:
 
 * **round-trip bit-identity** — a reopened graph preserves insertion
   order, first-seen type order and the header fingerprint, so scorers
   cannot tell it from the source graph;
-* **index equivalence** — interval scans, permutation scans and the
-  CSR neighborhood walk answer exactly what the in-memory structures
-  answer;
 * **loud corruption** — every damaged-file shape raises
   ``DiskStoreError`` (mirroring the snapshot corruption suite in
-  ``tests/test_replicate.py``), never a wrong answer.
+  ``tests/test_replicate.py``), never a wrong graph; a seeded fuzz
+  flips single bits and truncates at section boundaries to check it.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
 import struct
+import zlib
 
 import pytest
 
@@ -29,12 +29,8 @@ from repro.datasets.loader import (
     save_domain,
 )
 from repro.exceptions import DiskStoreError, StoreError
-from repro.store import (
-    STORE_EXTENSION,
-    build_store,
-    open_store,
-    store_from_entity_graph,
-)
+from repro.store import STORE_EXTENSION, build_store, open_store
+from repro.store import disk
 from repro.store.disk import SECTION_NAMES, VERSION
 
 import importlib.util
@@ -49,8 +45,34 @@ _conftest = importlib.util.module_from_spec(_conftest_spec)
 _conftest_spec.loader.exec_module(_conftest)
 build_fig1_graph = _conftest.build_fig1_graph
 
-_HEADER_PREFIX = struct.calcsize("<8sII9Q")  # fingerprint field offset
-_SECTION_TABLE = struct.calcsize("<8sII9Q72s")  # section table offset
+
+def _header_offsets():
+    """The byte offset of every field of the store's header struct."""
+    offsets, position = [], 0
+    for count, code in re.findall(r"(\d*)([a-zA-Z])", disk._HEADER.format):
+        if code == "s":
+            fields, width = 1, int(count)
+        else:
+            fields, width = int(count or 1), struct.calcsize(f"<{code}")
+        for _ in range(fields):
+            offsets.append(position)
+            position += width
+    assert position == disk._HEADER.size
+    return offsets
+
+
+(
+    _MAGIC_AT,
+    _VERSION_AT,
+    _HEADER_SIZE_AT,
+    _TOTAL_SIZE_AT,
+    _GENERATION_AT,
+    _NAME_ID_AT,
+    *_COUNTS_AT,
+    _CHECKSUM_AT,
+    _FINGERPRINT_AT,
+) = _header_offsets()
+_SECTION_TABLE = disk._HEADER.size
 
 
 @pytest.fixture()
@@ -132,95 +154,32 @@ class TestRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Index equivalence
-# ----------------------------------------------------------------------
-class TestQueries:
-    def test_interval_scan_matches_entities_of_type(self, domain_pair):
-        graph, path = domain_pair
-        with open_store(path) as store:
-            for type_name in graph.entity_types():
-                start, end = store.type_interval(type_name)
-                members = store.entities_of_type(type_name)
-                assert end - start == len(members)
-                assert set(members) == set(graph.entities_of_type(type_name))
-
-    def test_unknown_type_raises(self, fig1_store):
-        with open_store(fig1_store) as store:
-            with pytest.raises(DiskStoreError, match="unknown entity type"):
-                store.type_interval("NO SUCH TYPE")
-
-    def test_triple_scans_match_triple_store(self, domain_pair):
-        graph, path = domain_pair
-        expected = {
-            (t.subject, t.predicate, t.object): count
-            for t, count in store_from_entity_graph(graph).triples()
-        }
-        with open_store(path) as store:
-            actual = {
-                (t.subject, t.predicate, t.object): count
-                for t, count in store.triples()
-            }
-            assert actual == expected
-            subject = next(iter(graph.entities()))
-            got = {
-                (t.subject, t.predicate, t.object): count
-                for t, count in store.scan_counted(subject=subject)
-            }
-            assert got == {
-                key: count for key, count in expected.items() if key[0] == subject
-            }
-            predicate = "a"
-            got = {
-                (t.subject, t.predicate, t.object): count
-                for t, count in store.scan_counted(predicate=predicate)
-            }
-            assert got == {
-                key: count
-                for key, count in expected.items()
-                if key[1] == predicate
-            }
-
-    def test_scan_of_absent_term_is_empty(self, fig1_store):
-        with open_store(fig1_store) as store:
-            assert list(store.scan_counted(subject="nobody")) == []
-            assert store.string_id("nobody") is None
-            assert store.entity_row("nobody") is None
-
-    def test_neighborhood_matches_graph_bfs(self, domain_pair):
-        graph, path = domain_pair
-        adjacency = {}
-        for source, target, _rel in graph.relationships():
-            adjacency.setdefault(source, set()).add(target)
-            adjacency.setdefault(target, set()).add(source)
-        with open_store(path) as store:
-            for entity in list(graph.entities())[:20]:
-                for hops in (0, 1, 2):
-                    expected = {entity}
-                    frontier = {entity}
-                    for _ in range(hops):
-                        frontier = {
-                            neighbor
-                            for node in frontier
-                            for neighbor in adjacency.get(node, ())
-                        } - expected
-                        expected |= frontier
-                    assert store.neighborhood(entity, hops=hops) == expected
-
-    def test_neighborhood_of_unknown_entity_raises(self, fig1_store):
-        with open_store(fig1_store) as store:
-            with pytest.raises(DiskStoreError, match="unknown entity"):
-                store.neighborhood("nobody")
-            with pytest.raises(DiskStoreError, match=">= 0"):
-                store.neighborhood("Will Smith", hops=-1)
-
-
-# ----------------------------------------------------------------------
 # Corruption (every shape raises DiskStoreError)
 # ----------------------------------------------------------------------
 def _rewrite(path, mutate):
     data = bytearray(path.read_bytes())
     mutate(data)
     path.write_bytes(bytes(data))
+
+
+def _reseal(data):
+    """Store the CRC-32 of every byte but the checksum field's own.
+
+    That is what an encoder that wrote ``data`` would do; the checks
+    inside ``entity_graph`` that run after the checksum guard against
+    such a drifted encoder, so their tests reseal what they damage.
+    """
+    end = _CHECKSUM_AT + 8
+    checksum = zlib.crc32(bytes(data[:_CHECKSUM_AT]) + bytes(data[end:]))
+    struct.pack_into("<Q", data, _CHECKSUM_AT, checksum)
+
+
+def _rewrite_sealed(path, mutate):
+    def mutate_and_reseal(data):
+        mutate(data)
+        _reseal(data)
+
+    _rewrite(path, mutate_and_reseal)
 
 
 def _truncate_half(data):
@@ -236,7 +195,13 @@ def _bad_magic(data):
 
 
 def _bad_version(data):
-    struct.pack_into("<I", data, 8, VERSION + 41)
+    struct.pack_into("<I", data, _VERSION_AT, VERSION + 41)
+
+
+def _version_one(data):
+    # Version-1 files carried triple permutations and index sections;
+    # no reader for them is kept.
+    struct.pack_into("<I", data, _VERSION_AT, 1)
 
 
 def _oversized(data):
@@ -244,18 +209,22 @@ def _oversized(data):
 
 
 def _garbage_fingerprint(data):
-    data[_HEADER_PREFIX:_HEADER_PREFIX + 72] = b"md5:garbage".ljust(72, b"\x00")
+    data[_FINGERPRINT_AT:_FINGERPRINT_AT + 72] = b"md5:garbage".ljust(72, b"\x00")
+
+
+def _section_entry(name):
+    """The byte offset of section ``name``'s (offset, length) entry."""
+    return _SECTION_TABLE + SECTION_NAMES.index(name) * disk._SECTION_ENTRY.size
 
 
 def _dangling_section(data):
-    # Point the spo section (index 9) past the end of the file.
-    entry = _SECTION_TABLE + SECTION_NAMES.index("spo") * 16
-    struct.pack_into("<QQ", data, entry, len(data), 4096)
+    # Point the relationships section past the end of the file.
+    struct.pack_into("<QQ", data, _section_entry("relationships"), len(data), 4096)
 
 
 def _short_section(data):
     # Shrink the entity_ids section below what entity_count implies.
-    entry = _SECTION_TABLE + SECTION_NAMES.index("entity_ids") * 16
+    entry = _section_entry("entity_ids")
     offset, length = struct.unpack_from("<QQ", data, entry)
     struct.pack_into("<QQ", data, entry, offset, max(0, length - 8))
 
@@ -266,6 +235,10 @@ _DAMAGED_HEADERS = [
     (_truncate_header, "truncated header"),
     (_bad_magic, "bad magic"),
     (_bad_version, "unsupported store version"),
+    (
+        _version_one,
+        re.escape(f"unsupported store version 1 (this build reads version {VERSION})"),
+    ),
     (_oversized, "oversized store file"),
     (_garbage_fingerprint, re.escape("malformed fingerprint field b'md5:garbage'") + "$"),
     (_dangling_section, "falls outside the file"),
@@ -274,8 +247,7 @@ _DAMAGED_HEADERS = [
 
 
 def _section_bounds(data, name):
-    entry = _SECTION_TABLE + SECTION_NAMES.index(name) * 16
-    return struct.unpack_from("<QQ", data, entry)
+    return struct.unpack_from("<QQ", data, _section_entry(name))
 
 
 def _set_u64(data, section, index, value):
@@ -308,15 +280,15 @@ class TestCorruption:
 
         def flip_fingerprint(data):
             digest = bytes(
-                data[_HEADER_PREFIX:_HEADER_PREFIX + 72]
+                data[_FINGERPRINT_AT:_FINGERPRINT_AT + 72]
             ).rstrip(b"\x00").decode("ascii")
             hex_part = digest[len("sha256:"):]
             flipped = ("0" if hex_part[0] != "0" else "1") + hex_part[1:]
-            data[_HEADER_PREFIX:_HEADER_PREFIX + 72] = (
+            data[_FINGERPRINT_AT:_FINGERPRINT_AT + 72] = (
                 f"sha256:{flipped}".encode("ascii").ljust(72, b"\x00")
             )
 
-        _rewrite(fig1_store, flip_fingerprint)
+        _rewrite_sealed(fig1_store, flip_fingerprint)
         with open_store(fig1_store) as store:
             with pytest.raises(DiskStoreError, match="fingerprint mismatch"):
                 store.entity_graph()
@@ -325,20 +297,29 @@ class TestCorruption:
         """A dictionary offset past the blob raises, never misreads."""
 
         def dangle(data):
-            # dict_offsets is the first section after the header table;
-            # bump the second cumulative offset past any possible blob.
-            entry = _SECTION_TABLE + SECTION_NAMES.index("dict_offsets") * 16
-            offset, _length = struct.unpack_from("<QQ", data, entry)
-            struct.pack_into("<Q", data, offset + 8, 1 << 40)
+            # Bump the second cumulative offset past any possible blob.
+            _set_u64(data, "dict_offsets", 1, 1 << 40)
 
         _rewrite(fig1_store, dangle)
         with open_store(fig1_store) as store:
             with pytest.raises(DiskStoreError, match="dangling dictionary"):
                 store.string(0)
 
+    def test_checksum_mismatch_is_rejected(self, fig1_store):
+        """Damage no structural check can see fails the checksum."""
+
+        def advance(data):
+            (generation,) = struct.unpack_from("<Q", data, _GENERATION_AT)
+            struct.pack_into("<Q", data, _GENERATION_AT, generation + 1)
+
+        _rewrite(fig1_store, advance)
+        with open_store(fig1_store) as store:
+            with pytest.raises(DiskStoreError, match="checksum mismatch"):
+                store.entity_graph(verify=False)
+
     # Each check inside entity_graph(), one damaged section apiece.
     def _materialize(self, path, mutate):
-        _rewrite(path, mutate)
+        _rewrite_sealed(path, mutate)
         with open_store(path) as store:
             return store.entity_graph()
 
@@ -418,10 +399,9 @@ class TestCorruption:
     def test_generation_below_the_replayed_adds(self, fig1_store):
         graph = build_fig1_graph()
         adds = graph.entity_count + graph.edge_count
-        generation_offset = struct.calcsize("<8sII") + 8
 
         def rewind(data):
-            struct.pack_into("<Q", data, generation_offset, adds - 1)
+            struct.pack_into("<Q", data, _GENERATION_AT, adds - 1)
 
         with pytest.raises(
             DiskStoreError,
@@ -450,7 +430,7 @@ class TestCorruption:
         def bad_rank(data):
             _set_u64(data, "relationships", 1, 10**6)
 
-        _rewrite(fig1_store, bad_rank)
+        _rewrite_sealed(fig1_store, bad_rank)
         with open_store(fig1_store) as store:
             with pytest.raises(DiskStoreError, match="relationship 0 references"):
                 store.entity_graph(verify=False)
@@ -462,6 +442,116 @@ class TestCorruption:
 
     def test_disk_store_error_is_a_store_error(self):
         assert issubclass(DiskStoreError, StoreError)
+
+
+# ----------------------------------------------------------------------
+# Seeded corruption fuzz: raise DiskStoreError or answer as the clean file
+# ----------------------------------------------------------------------
+#: Random single-bit flips over the whole file.
+_FUZZ_FLIPS = 1000
+_FUZZ_SEED = 18
+
+
+def _observed(graph):
+    """Everything a materialized graph must keep: name, generation, orders."""
+    return (
+        graph.name,
+        graph.generation,
+        [(entity, graph.types_of(entity)) for entity in graph.entities()],
+        graph.entity_types(),
+        list(graph.relationships()),
+        graph_fingerprint(graph),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    """A clean store's bytes, its clean graph, and a path to rewrite."""
+    graph = generate_domain("architecture", scale=1000, seed=11)
+    path = tmp_path_factory.mktemp("fuzz") / f"arch{STORE_EXTENSION}"
+    build_store(graph, path)
+    return path.read_bytes(), _observed(graph), path
+
+
+def _wrong_answers(fuzz_target, damaged):
+    """Labels of ``(label, bytes)`` cases that materialize a wrong graph.
+
+    Any other exception than DiskStoreError propagates and fails the test.
+    """
+    _clean, expected, path = fuzz_target
+    wrong = []
+    for label, data in damaged:
+        path.write_bytes(data)
+        try:
+            with open_store(path) as store:
+                graph = store.entity_graph()
+        except DiskStoreError:
+            continue
+        if _observed(graph) != expected:
+            wrong.append(label)
+    return wrong
+
+
+def _flipped(data, bit):
+    damaged = bytearray(data)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+def _field_bits(start, length):
+    return range(8 * start, 8 * (start + length))
+
+
+class TestCorruptionFuzz:
+    def test_random_single_bit_flips(self, fuzz_target):
+        clean = fuzz_target[0]
+        rng = random.Random(_FUZZ_SEED)
+        bits = [rng.randrange(8 * len(clean)) for _ in range(_FUZZ_FLIPS)]
+        damaged = [(f"bit {bit}", _flipped(clean, bit)) for bit in bits]
+        assert _wrong_answers(fuzz_target, damaged) == []
+
+    def test_flips_in_the_graph_name(self, fuzz_target):
+        """The fingerprint does not cover the name; the checksum does."""
+        clean = fuzz_target[0]
+        (name_id,) = struct.unpack_from("<Q", clean, _NAME_ID_AT)
+        blob_offset, _length = _section_bounds(clean, "dict_blob")
+        offsets_at, _length = _section_bounds(clean, "dict_offsets")
+        start, end = struct.unpack_from("<QQ", clean, offsets_at + 8 * name_id)
+        name_at = blob_offset + start
+        assert clean[name_at:blob_offset + end] == b"architecture"
+        damaged = [
+            (f"name bit {bit - 8 * name_at}", _flipped(clean, bit))
+            for bit in _field_bits(name_at, end - start)
+        ]
+        assert _wrong_answers(fuzz_target, damaged) == []
+
+    def test_flips_in_the_generation_field(self, fuzz_target):
+        """The fingerprint does not cover the generation; the checksum does."""
+        clean, expected, _path = fuzz_target
+        (generation,) = struct.unpack_from("<Q", clean, _GENERATION_AT)
+        assert generation == expected[1]
+        damaged = [
+            (f"generation bit {bit - 8 * _GENERATION_AT}", _flipped(clean, bit))
+            for bit in _field_bits(_GENERATION_AT, 8)
+        ]
+        assert _wrong_answers(fuzz_target, damaged) == []
+
+    def test_truncation_at_every_section_boundary(self, fuzz_target):
+        clean = fuzz_target[0]
+        boundaries = {0, _SECTION_TABLE, disk._HEADER_SIZE, len(clean)}
+        for name in SECTION_NAMES:
+            offset, length = _section_bounds(clean, name)
+            boundaries.update((offset, offset + length))
+        cuts = sorted(
+            {
+                cut
+                for boundary in boundaries
+                for cut in (boundary - 1, boundary, boundary + 1)
+                if 0 <= cut <= len(clean)
+            }
+        )
+        damaged = [(f"cut at {cut}", clean[:cut]) for cut in cuts]
+        assert _wrong_answers(fuzz_target, damaged) == []
 
 
 # ----------------------------------------------------------------------

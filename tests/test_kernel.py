@@ -457,15 +457,3 @@ class TestDispatchPlan:
         assert kernel.estimated_subsets(5, 0) == 1
         assert kernel.estimated_subsets(5, 6) == 0
         assert kernel.estimated_subsets(5, -1) == 0
-
-    def test_kernel_plan_shim_reexports(self):
-        """The historical repro.kernel.plan names are the same objects."""
-        from repro.kernel import plan as kernel_plan
-
-        assert kernel_plan.should_shard is plan.should_shard
-        assert kernel_plan.dispatch_threshold is plan.dispatch_threshold
-        assert kernel_plan.usable_cpus is plan.usable_cpus
-        assert (
-            kernel_plan.DEFAULT_DISPATCH_THRESHOLD
-            == plan.DEFAULT_DISPATCH_THRESHOLD
-        )

@@ -87,7 +87,7 @@ class TestRegistry:
 
     def test_exclude_beats_modules(self):
         rule = LINT_RULES["REP110"]
-        assert rule.applies_to("repro.kernel.plan")
+        assert rule.applies_to("repro.plan.planner")
         assert not rule.applies_to("repro.config")
 
     def test_register_validates_checker_surface(self):
