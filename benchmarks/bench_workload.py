@@ -95,7 +95,7 @@ def run_benchmark():
         "scenario": trace.scenario,
         "jobs": JOBS,
         "kernel_backend": kernel.backend_name(),
-        "dispatch_threshold": kernel.dispatch_threshold(),
+        "shard_threshold": kernel.active_backend().shard_threshold,
         "plan_mode": plan.plan_mode(),
         "plan_decisions": plan_decisions,
         "paths": paths,

@@ -15,8 +15,8 @@ module replaced always had.
 
 Raises :class:`~repro.exceptions.ConfigError` for reads of undeclared
 names; malformed *values* raise whatever the caller-facing contract
-promises (e.g. ``REPRO_DISPATCH_THRESHOLD`` keeps its historical
-:class:`~repro.exceptions.KernelError`), which is why :func:`raw_knob`
+promises (e.g. ``REPRO_PLAN`` raises
+:class:`~repro.exceptions.PlanError`), which is why :func:`raw_knob`
 exposes the unparsed string.
 """
 
@@ -64,11 +64,6 @@ KERNEL = _declare(
     "auto",
     "scoring kernel backend: auto | oracle | python | numpy",
 )
-DISPATCH_THRESHOLD = _declare(
-    "REPRO_DISPATCH_THRESHOLD",
-    None,  # the kernel planner owns the numeric default (4096)
-    "subset count below which scoring never pays for the process pool",
-)
 TEST_JOBS = _declare(
     "REPRO_TEST_JOBS",
     "2",
@@ -82,22 +77,12 @@ RESULTS_DIR = _declare(
 PLAN = _declare(
     "REPRO_PLAN",
     "auto",
-    "execution planner mode: auto | serial | sharded | static",
-)
-PLAN_WINDOW = _declare(
-    "REPRO_PLAN_WINDOW",
-    None,  # the cost model owns the numeric default (64)
-    "cost-model ring-buffer capacity per (signal, backend) series",
+    "execution planner mode: auto | serial | sharded",
 )
 REPLICATION_WINDOW = _declare(
     "REPRO_REPLICATION_WINDOW",
     "1024",
     "writer-side replication log entries retained for delta catch-up",
-)
-SNAPSHOT = _declare(
-    "REPRO_SNAPSHOT",
-    "auto",
-    "worker snapshot transport: auto | pickle | mmap",
 )
 
 
@@ -107,7 +92,7 @@ def raw_knob(name: str) -> Optional[str]:
     Returns the environment value if set, else the declared default
     (which may be ``None``).  This is the one sanctioned path from a
     ``REPRO_*`` name to ``os.environ`` — callers that need bespoke
-    parsing/error contracts (the kernel's threshold) build on this.
+    parsing/error contracts (the planner mode) build on this.
 
     Raises
     ------
@@ -155,29 +140,6 @@ def results_dir_override() -> Optional[str]:
     return raw_knob(RESULTS_DIR.name)
 
 
-def plan_window() -> int:
-    """Cost-model ring-buffer capacity (default 64, minimum 4).
-
-    Raises
-    ------
-    ConfigError
-        When ``REPRO_PLAN_WINDOW`` is set but not an integer >= 4 (the
-        least-squares fit needs that many points to identify a slope).
-    """
-    raw = raw_knob(PLAN_WINDOW.name)
-    if raw is None:
-        return 64
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{PLAN_WINDOW.name} must be an integer, got {raw!r}"
-        ) from None
-    if value < 4:
-        raise ConfigError(f"{PLAN_WINDOW.name} must be >= 4, got {value}")
-    return value
-
-
 def replication_window() -> int:
     """Writer-side replication-log retention, entries (default 1024).
 
@@ -199,27 +161,6 @@ def replication_window() -> int:
         ) from None
     if value < 1:
         raise ConfigError(f"{REPLICATION_WINDOW.name} must be >= 1, got {value}")
-    return value
-
-
-def snapshot_transport() -> str:
-    """How scoring snapshots reach worker processes (default ``auto``).
-
-    ``mmap`` shares one memory-mapped score file across workers
-    (zero-copy, near-zero pickle cost), ``pickle`` ships the float
-    tuples over the pipe, and ``auto`` prefers ``mmap`` with a silent
-    fallback to ``pickle`` when the scratch file cannot be created.
-
-    Raises
-    ------
-    ConfigError
-        When ``REPRO_SNAPSHOT`` is set to an unknown transport.
-    """
-    value = (raw_knob(SNAPSHOT.name) or "auto").strip().lower() or "auto"
-    if value not in ("auto", "pickle", "mmap"):
-        raise ConfigError(
-            f"{SNAPSHOT.name} must be auto, pickle or mmap, got {value!r}"
-        )
     return value
 
 

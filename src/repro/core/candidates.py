@@ -249,10 +249,10 @@ def sharded_discover(
     serial loops score each qualifying subset), and the result carries
     the caller's ``algorithm`` label.
 
-    Small batches never reach the worker pool: below the dispatch
-    threshold (see :mod:`repro.plan`) one serial kernel call is
-    cheaper than a single snapshot pickle round-trip, so the evaluation
-    runs inline regardless of ``jobs``.
+    Small batches never reach the worker pool: below the active kernel
+    backend's shard threshold (see :mod:`repro.plan`) one serial kernel
+    call beats a dispatch to the pool, so the evaluation runs inline
+    regardless of ``jobs``.
     """
     if executor is not None:
         effective_jobs = executor.jobs

@@ -239,7 +239,7 @@ class PreviewEngine:
         dispatches (and subsets they scored) made on behalf of this
         engine.  ``plan_mode`` names the effective execution-planner
         mode and ``plan_decisions`` breaks down the planner decisions
-        (serial/sharded; model-warm vs fallback) attributed to this
+        (serial/sharded, and single-core vetoes) attributed to this
         engine's queries (see :mod:`repro.plan`).
         """
         self._sync_generation()
@@ -592,18 +592,16 @@ class PreviewEngine:
     def _current_snapshot(self, pool):
         """The worker-pool snapshot for ``pool``, refreshed in O(delta).
 
-        Built once — as a zero-copy mmap-backed snapshot or a picklable
-        tuple snapshot per the ``REPRO_SNAPSHOT`` knob
-        (:func:`~repro.parallel.make_snapshot`) — then patched with the
-        types dirtied since the last parallel build (see
-        :meth:`~repro.parallel.ScoringSnapshot.refresh`): untouched rows
-        keep their already-projected scores, so a long-lived executor
-        stays warm across mutations.  Full invalidations reset it.
+        Built once, then patched with the types dirtied since the last
+        parallel build (see :meth:`~repro.parallel.ScoringSnapshot.refresh`):
+        untouched rows keep their already-projected scores, so a
+        long-lived executor stays warm across mutations.  Full
+        invalidations reset it.
         """
-        from ..parallel import make_snapshot
+        from ..parallel import ScoringSnapshot
 
         if self._snapshot is None:
-            self._snapshot = make_snapshot(pool)
+            self._snapshot = ScoringSnapshot.from_pool(pool)
         elif self._snapshot_dirty:
             self._snapshot = self._snapshot.refresh(pool, self._snapshot_dirty)
         self._snapshot_dirty.clear()

@@ -108,8 +108,7 @@ class KernelError(ScoringError):
 class PlanError(ReproError):
     """Errors raised by the execution planner (``repro.plan``).
 
-    Raised when ``REPRO_PLAN`` names an unknown mode (the threshold
-    knob keeps its historical :class:`KernelError` contract).
+    Raised when ``REPRO_PLAN`` (or ``use_mode``) names an unknown mode.
     """
 
 

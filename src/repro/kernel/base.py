@@ -93,19 +93,6 @@ def reset_kernel_stats() -> None:
         _SUBSETS = 0
 
 
-def observe_lowering(backend: str, rows: int, seconds: float) -> None:
-    """Forward one columnar-lowering timing to the execution planner.
-
-    Backends call this from ``lower()`` with the number of weighted
-    rows lowered; the planner's cost model treats lowering as the
-    serial path's per-call setup term (see :mod:`repro.plan`).  The
-    import is call-time so backend modules stay loadable standalone.
-    """
-    from .. import plan
-
-    plan.observe_lowering(backend, rows, seconds)
-
-
 def subset_members(subsets: Subsets) -> FrozenSet[TypeId]:
     """The distinct key types that occur in at least one of ``subsets``.
 
@@ -132,6 +119,15 @@ class KernelBackend:
 
     #: Registry name, also reported by ``PreviewEngine.cache_info()``.
     name = "abstract"
+
+    #: Smallest batch, in qualifying subsets, that the ``auto`` planner
+    #: shards at ``jobs > 1``.  Each value is the smallest ladder point
+    #: where sharding won at least 9 in every 10 pairs on 2 cores in
+    #: ``benchmarks/bench_crossover.py`` (recorded in
+    #: ``BENCH_crossover.json``).  This default is the stdlib python
+    #: backend's; the oracle backend, which has no ladder of its own,
+    #: inherits it.
+    shard_threshold: int = 16_738
 
     def lower(self, source) -> object:
         """Backend-private columns for one pool/snapshot ``source``."""

@@ -37,7 +37,6 @@ processing :data:`~repro.kernel.base.BATCH_SIZE` rows at a time.
 from __future__ import annotations
 
 import operator
-import time
 from collections.abc import Sequence
 from itertools import chain
 from typing import Dict, FrozenSet, Iterator, List, Tuple
@@ -48,7 +47,7 @@ from ..core.constraints import DistanceMode
 from ..exceptions import UnknownTypeError
 from ..graph.cliques import clique_index
 from ..model.ids import TypeId
-from .base import BATCH_SIZE, KernelBackend, observe_lowering
+from .base import BATCH_SIZE, KernelBackend
 
 
 class SubsetMatrix(Sequence):
@@ -134,15 +133,12 @@ class NumpyBackend(KernelBackend):
     """Vectorized batched scoring over :class:`NumpyColumns`."""
 
     name = "numpy"
+    #: Measured on the crossover ladder (see ``KernelBackend``).
+    shard_threshold = 49_223
 
     def lower(self, source) -> NumpyColumns:
         """Lower source columns to padded numpy rectangles."""
-        start = time.perf_counter()
-        columns = NumpyColumns(source.index, source.weighted)
-        observe_lowering(
-            self.name, len(source.weighted), time.perf_counter() - start
-        )
-        return columns
+        return NumpyColumns(source.index, source.weighted)
 
     # ------------------------------------------------------------------
     # Scoring

@@ -12,11 +12,10 @@ docstring for the identity this relies on).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import UnknownTypeError
-from .base import KernelBackend, observe_lowering
+from .base import KernelBackend
 
 
 class PythonColumns:
@@ -62,12 +61,7 @@ class PythonBackend(KernelBackend):
 
     def lower(self, source) -> PythonColumns:
         """Lower source columns to the stdlib batched layout."""
-        start = time.perf_counter()
-        columns = PythonColumns(source.index, source.weighted)
-        observe_lowering(
-            self.name, len(source.weighted), time.perf_counter() - start
-        )
-        return columns
+        return PythonColumns(source.index, source.weighted)
 
     def best_allocation(self, columns, subsets, extra_cap):
         """Batched best-allocation using stdlib-only arithmetic."""

@@ -31,18 +31,19 @@ pool.  Results are therefore bit-identical to ``apriori_discover`` /
 ``brute_force_discover`` at ``jobs=1``, which the property tests in
 ``tests/test_parallel.py`` assert for all four registered algorithms.
 
-``jobs=1`` is a true serial fallback: the shard functions run inline and
+Whether a batch reaches the pool at all is :mod:`repro.plan`'s call
+(the active kernel backend's measured shard threshold); once it does,
+the executor cuts ``min(jobs, n)`` equal contiguous shards.  ``jobs=1``
+is a true serial fallback: the shard functions run inline and
 :mod:`multiprocessing` is never imported.  ``jobs=0`` resolves to the
-machine's CPU count.
+usable core count (:func:`repro.plan.usable_cpus`).
 """
 
 from .executor import ShardedExecutor, resolve_jobs
-from .snapshot import MappedScoringSnapshot, ScoringSnapshot, make_snapshot
+from .snapshot import ScoringSnapshot
 
 __all__ = [
-    "MappedScoringSnapshot",
     "ScoringSnapshot",
     "ShardedExecutor",
-    "make_snapshot",
     "resolve_jobs",
 ]

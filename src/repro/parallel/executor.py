@@ -22,8 +22,6 @@ parallel call, so serial users never pay for (or depend on) it.
 
 from __future__ import annotations
 
-import os
-import time
 from typing import List, Optional, Sequence, Tuple
 
 from .. import kernel, plan
@@ -50,36 +48,28 @@ def resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise DiscoveryError(f"jobs must be non-negative, got {jobs}")
     if jobs == 0:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            return os.cpu_count() or 1
+        return plan.usable_cpus()
     return jobs
 
 
-def _score_shard(payload) -> Tuple[Optional[Tuple[float, int]], float]:
-    """``(best, seconds)`` for one shard; ``best`` may be None.
+def _score_shard(payload) -> Optional[Tuple[float, int]]:
+    """The shard's winning ``(score, global_subset_index)``, or None.
 
-    ``best`` is the shard's winning ``(score, global_subset_index)``.
     The whole shard is one batched kernel call over the snapshot's
     columns — the backend name travels in the payload, so workers run
     the parent's backend under both ``fork`` and ``spawn``.  The kernel
     keeps the lowest-index subset among equal scores (and treats
     duplicate keys as infeasible), the same rules the serial discovery
-    loops apply.  ``seconds`` is the worker-side compute time, shipped
-    back so the parent's cost model learns the per-shard rate the
-    adaptive shard sizing needs.
+    loops apply.
     """
     snapshot, start, subsets, extra_cap, backend_name = payload
     backend = kernel.get_backend(backend_name)
-    began = time.perf_counter()
     best = backend.best_allocation(
         backend.lower(snapshot), subsets, extra_cap
     )
-    elapsed = time.perf_counter() - began
     if best is None:
-        return None, elapsed
-    return (best[0], start + best[1]), elapsed
+        return None
+    return best[0], start + best[1]
 
 
 def _profile_shard(payload) -> List[ProfilePayload]:
@@ -187,23 +177,25 @@ class ShardedExecutor:
         subsets: Sequence[Tuple[TypeId, ...]],
         cap: Optional[int],
     ) -> List[Tuple]:
-        """Contiguous shards tagged with their global start index.
+        """``min(jobs, n)`` equal contiguous shards, tagged with their start.
 
         Never produces an empty shard: the shard count is capped at the
         subset count, so every shard carries at least one subset (an
         empty ``subsets`` yields zero shards rather than dividing by
         zero — the public operations short-circuit before that, but the
-        sharding itself is total).
+        sharding itself is total).  The remainder lands on the first
+        shards.  Shard geometry never affects results: the reduction
+        carries global subset indices.
         """
         if not subsets:
             return []
         backend_name = kernel.backend_name()
+        shards = min(self.jobs, len(subsets))
+        base, remainder = divmod(len(subsets), shards)
         payloads = []
         start = 0
-        # Shard sizes come from the planner: min(jobs, n) equal chunks
-        # under static/forced modes, the adaptive oversubscribed layout
-        # under auto (see repro.plan.Planner.shard_layout).
-        for size in plan.shard_layout(len(subsets), self.jobs):
+        for shard in range(shards):
+            size = base + (1 if shard < remainder else 0)
             payloads.append(
                 (
                     snapshot,
@@ -243,27 +235,12 @@ class ShardedExecutor:
         # count (backends themselves never record).
         kernel.record_batch(len(subsets))
         payloads = self._payloads(snapshot, subsets, extra_cap)
-        pooled = self.jobs > 1 and len(payloads) > 1
-        backend_name = kernel.backend_name()
-        if pooled:
-            plan.observe_snapshot_cost(snapshot)
-        began = time.perf_counter()
-        shard_results = self._map(_score_shard, payloads)
-        elapsed = time.perf_counter() - began
         best: Optional[Tuple[float, int]] = None
-        for shard_best, _seconds in shard_results:
+        for shard_best in self._map(_score_shard, payloads):
             if shard_best is None:
                 continue
             if best is None or shard_best[0] > best[0]:
                 best = shard_best
-        if pooled:
-            for payload, (_, shard_seconds) in zip(payloads, shard_results):
-                plan.observe_shard(backend_name, len(payload[2]), shard_seconds)
-            plan.observe_sharded(
-                backend_name, len(subsets), elapsed, len(payloads)
-            )
-        else:
-            plan.observe_serial(backend_name, len(subsets), elapsed)
         return best
 
     def build_profiles(
@@ -276,21 +253,9 @@ class ShardedExecutor:
         if not subsets:
             return []
         payloads = self._payloads(snapshot, subsets, cap)
-        pooled = self.jobs > 1 and len(payloads) > 1
-        if pooled:
-            plan.observe_snapshot_cost(snapshot)
-        began = time.perf_counter()
         results: List[ProfilePayload] = []
         for shard in self._map(_profile_shard, payloads):
             results.extend(shard)
-        elapsed = time.perf_counter() - began
-        # Profile builds learn under their own signals: their per-subset
-        # rate (full pick sequences) differs from batched scoring, and
-        # mixing the two would corrupt both fits.
-        signal = "profile_sharded" if pooled else "profile_serial"
-        plan.get_planner().observe(
-            signal, kernel.backend_name(), len(subsets), elapsed
-        )
         return results
 
     def build_profile_groups(
@@ -327,18 +292,8 @@ class ShardedExecutor:
             bins[lightest].append((group_index, list(subsets), cap))
             loads[lightest] += len(subsets)
         payloads = [(snapshot, bin_groups) for bin_groups in bins if bin_groups]
-        pooled = self.jobs > 1 and len(payloads) > 1
-        if pooled:
-            plan.observe_snapshot_cost(snapshot)
-        began = time.perf_counter()
         results: List[Optional[List[ProfilePayload]]] = [None] * len(groups)
         for bin_result in self._map(_profile_groups_shard, payloads):
             for group_index, group_payloads in bin_result:
                 results[group_index] = group_payloads
-        elapsed = time.perf_counter() - began
-        total = sum(len(subsets) for subsets, _ in groups)
-        signal = "profile_sharded" if pooled else "profile_serial"
-        plan.get_planner().observe(
-            signal, kernel.backend_name(), total, elapsed
-        )
         return results

@@ -46,15 +46,19 @@ def value_set_entropy(
     tuples attaining it; ``total_nonempty`` is their sum.  Returns 0.0 for
     empty histograms (an attribute with no non-empty values conveys no
     information).
+
+    The terms are summed with :func:`math.fsum`, which is correctly
+    rounded and so independent of the histogram's iteration order —
+    that order follows the entity set's, which varies with the
+    process's string hash seed.
     """
     if total_nonempty <= 0:
         return 0.0
     log_b = math.log(log_base)
-    entropy = 0.0
-    for count in groups.values():
-        p = count / total_nonempty
-        entropy += p * (math.log(total_nonempty / count) / log_b)
-    return entropy
+    return math.fsum(
+        count / total_nonempty * (math.log(total_nonempty / count) / log_b)
+        for count in groups.values()
+    )
 
 
 def attribute_entropy(

@@ -218,6 +218,15 @@ class TestSnapshotRefresh:
         snapshot = ScoringSnapshot.from_pool(pool)
         assert snapshot.refresh(pool, ()) is snapshot
 
+    def test_refresh_rebuilds_on_unknown_dirty_type(self):
+        """A dirty type outside the snapshot's universe forces a rebuild."""
+        pool = triangle_graph().context().candidate_pool()
+        snapshot = ScoringSnapshot.from_pool(pool)
+        rebuilt = snapshot.refresh(pool, ["NO SUCH TYPE"])
+        assert rebuilt is not snapshot
+        assert rebuilt.index == snapshot.index
+        assert rebuilt.weighted == snapshot.weighted
+
     def test_refresh_falls_back_on_universe_change(self):
         inc = triangle_graph()
         snapshot = ScoringSnapshot.from_pool(inc.context().candidate_pool())

@@ -388,62 +388,29 @@ class TestBackendSelection:
 
 
 class TestDispatchPlan:
-    """The static-threshold contract (now served by :mod:`repro.plan`).
+    """The kernel facade's dispatch rule (served by :mod:`repro.plan`).
 
-    Forced to ``static`` mode: these tests pin the PR 6 rule itself,
-    independent of whatever the auto planner's cost model has learned
-    from earlier tests in the same process.  The planner's own behavior
-    (modes, cost model, shard sizing) lives in ``tests/test_plan.py``.
+    Forced to ``auto`` mode, the default.  The boundary per backend and
+    the other modes live in ``tests/test_plan.py``.
     """
 
     @pytest.fixture(autouse=True)
-    def _static_mode(self):
+    def _auto_mode(self):
         plan.reset_plan_caches()
-        with plan.use_mode("static"):
+        with plan.use_mode("auto"):
             yield
         plan.reset_plan_caches()
 
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv(plan.ENV_THRESHOLD, raising=False)
-        assert (
-            kernel.dispatch_threshold() == kernel.DEFAULT_DISPATCH_THRESHOLD
-        )
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "100")
-        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 8)
-        assert kernel.dispatch_threshold() == 100
-        assert kernel.should_shard(100, 2)
-        assert not kernel.should_shard(99, 2)
-
-    def test_threshold_cache_tracks_env_changes(self, monkeypatch):
-        """The memoized parse re-reads the env value (setenv stays honored)."""
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "100")
-        assert kernel.dispatch_threshold() == 100
-        assert kernel.dispatch_threshold() == 100  # served from the memo
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "200")
-        assert kernel.dispatch_threshold() == 200
-
-    @pytest.mark.parametrize("raw", ["four", "", "1.5"])
-    def test_non_integer_threshold_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(plan.ENV_THRESHOLD, raw)
-        with pytest.raises(KernelError, match="must be an integer"):
-            kernel.dispatch_threshold()
-
-    def test_negative_threshold_rejected(self, monkeypatch):
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "-1")
-        with pytest.raises(KernelError, match="must be >= 0"):
-            kernel.dispatch_threshold()
+    def test_default_threshold(self):
+        """The threshold is the active backend's measured constant."""
+        assert plan.shard_threshold() == kernel.active_backend().shard_threshold
 
     def test_serial_jobs_never_shard(self, monkeypatch):
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 8)
+        threshold = plan.shard_threshold()
         assert not kernel.should_shard(10**9, 1)
-        assert kernel.should_shard(
-            kernel.DEFAULT_DISPATCH_THRESHOLD, 2
-        )
-        assert not kernel.should_shard(
-            kernel.DEFAULT_DISPATCH_THRESHOLD - 1, 2
-        )
+        assert kernel.should_shard(threshold, 2)
+        assert not kernel.should_shard(threshold - 1, 2)
 
     def test_one_core_vetoes_sharding(self, monkeypatch):
         """Workers pinned to one core serialize: never worth dispatching."""

@@ -307,7 +307,6 @@ class TestConfigRegistry:
         names = {k["name"] for k in config.knob_catalog()}
         assert {
             "REPRO_KERNEL",
-            "REPRO_DISPATCH_THRESHOLD",
             "REPRO_TEST_JOBS",
             "REPRO_RESULTS_DIR",
         } <= names

@@ -52,7 +52,7 @@ class TestResolveJobs:
     def test_passthrough_and_zero(self):
         assert resolve_jobs(1) == 1
         assert resolve_jobs(3) == 3
-        assert resolve_jobs(0) >= 1  # 0 = all usable cores
+        assert resolve_jobs(0) == plan.usable_cpus()  # 0 = all usable cores
 
     def test_negative_rejected(self):
         with pytest.raises(DiscoveryError, match="non-negative"):
@@ -150,15 +150,13 @@ class TestShardBoundaries:
         assert executor.best_allocation(snapshot, [], 1) is None
         assert executor.build_profiles(snapshot, [], cap=1) == []
 
-    @pytest.mark.parametrize("mode", ["static", "auto"])
+    @pytest.mark.parametrize("mode", plan.PLAN_MODES)
     @pytest.mark.parametrize("subset_count", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_no_shard_is_ever_empty(self, subset_count, jobs, mode):
         """Every shard carries >= 1 subset and they tile the input.
 
-        Static mode keeps the PR 6 tiling (min(jobs, n) shards); auto
-        may oversubscribe up to 2x jobs, but never past the subset
-        count and never with an empty shard.
+        In every mode the executor cuts min(jobs, n) contiguous shards.
         """
         snapshot = ScoringSnapshot(index={"A": 0}, weighted=((1.0,),))
         subsets = [(f"T{i}",) for i in range(subset_count)]
@@ -166,11 +164,7 @@ class TestShardBoundaries:
             payloads = ShardedExecutor(jobs)._payloads(
                 snapshot, subsets, cap=1
             )
-        floor = min(jobs, subset_count)
-        ceiling = (
-            floor if mode == "static" else min(2 * jobs, subset_count)
-        )
-        assert floor <= len(payloads) <= ceiling
+        assert len(payloads) == min(jobs, subset_count)
         rebuilt = []
         expected_start = 0
         for _, start, shard, _, _backend in payloads:
@@ -435,148 +429,3 @@ class TestCliJobs:
         )
         assert code == 1
         assert "non-negative" in capsys.readouterr().err
-
-
-class TestMappedSnapshot:
-    """The zero-copy mmap snapshot transport (docs/disk-store.md)."""
-
-    def test_pickles_to_bytes_not_megabytes(self, fig1_context):
-        import pickle
-
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        plain = pickle.dumps(ScoringSnapshot.from_pool(pool))
-        mapped_snapshot = MappedScoringSnapshot.from_pool(pool)
-        try:
-            mapped = pickle.dumps(mapped_snapshot)
-            # The mapped payload is a path + lengths, independent of the
-            # score volume; the plain payload carries every float.
-            assert len(mapped) < len(plain)
-        finally:
-            mapped_snapshot.close()
-
-    def test_rows_are_bit_identical_to_plain_snapshot(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        plain = ScoringSnapshot.from_pool(pool)
-        mapped = MappedScoringSnapshot.from_pool(pool)
-        try:
-            assert mapped.index == plain.index
-            for mapped_row, plain_row in zip(mapped.weighted, plain.weighted):
-                assert [score.hex() for score in mapped_row] == [
-                    score.hex() for score in plain_row
-                ]
-            assert mapped.attrs is mapped.weighted
-        finally:
-            mapped.close()
-
-    def test_allocation_profile_identical_over_mapped_rows(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        keys = tuple(sorted(pool.index))[:3]
-        reference = build_allocation_profile(pool, keys)
-        mapped = MappedScoringSnapshot.from_pool(pool)
-        try:
-            profile = build_allocation_profile(mapped, keys)
-            assert profile.picks == reference.picks
-            assert [s.hex() for s in profile.cum] == [
-                s.hex() for s in reference.cum
-            ]
-        finally:
-            mapped.close()
-
-    def test_pickle_round_trip_shares_the_file(self, fig1_context):
-        import pickle
-
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        owner = MappedScoringSnapshot.from_pool(pool)
-        try:
-            clone = pickle.loads(pickle.dumps(owner))
-            for owner_row, clone_row in zip(owner.weighted, clone.weighted):
-                assert list(owner_row) == list(clone_row)
-        finally:
-            owner.close()
-
-    def test_refresh_patches_in_place(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        snapshot = MappedScoringSnapshot.from_pool(pool)
-        try:
-            dirty = next(iter(pool.index))
-            refreshed = snapshot.refresh(pool, [dirty])
-            # Same shape, same pool: identity (and the planner's one-time
-            # cost measurement) survives the refresh.
-            assert refreshed is snapshot
-            i = pool.index[dirty]
-            assert list(snapshot.weighted[i]) == list(pool.weighted[i])
-            assert snapshot.refresh(pool, []) is snapshot
-        finally:
-            snapshot.close()
-
-    def test_refresh_rebuilds_on_universe_change(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        snapshot = MappedScoringSnapshot.from_pool(pool)
-        try:
-            rebuilt = snapshot.refresh(pool, ["NO SUCH TYPE"])
-            assert rebuilt is not snapshot
-            rebuilt.close()
-        finally:
-            snapshot.close()
-
-    def test_transport_knob(self, fig1_context, monkeypatch):
-        from repro.exceptions import ConfigError
-        from repro.parallel import MappedScoringSnapshot, make_snapshot
-
-        pool = fig1_context.candidate_pool()
-        monkeypatch.setenv("REPRO_SNAPSHOT", "pickle")
-        assert isinstance(make_snapshot(pool), ScoringSnapshot)
-        monkeypatch.setenv("REPRO_SNAPSHOT", "mmap")
-        snapshot = make_snapshot(pool)
-        assert isinstance(snapshot, MappedScoringSnapshot)
-        snapshot.close()
-        monkeypatch.setenv("REPRO_SNAPSHOT", "bogus")
-        with pytest.raises(ConfigError):
-            make_snapshot(pool)
-
-    def test_auto_falls_back_when_scratch_fails(self, fig1_context, monkeypatch):
-        import tempfile as tempfile_module
-
-        from repro.exceptions import ConfigError
-        from repro.parallel import make_snapshot
-        from repro.parallel import snapshot as snapshot_module
-
-        def exploding_mkstemp(*args, **kwargs):
-            raise OSError("no scratch space")
-
-        monkeypatch.setattr(
-            snapshot_module.tempfile, "mkstemp", exploding_mkstemp
-        )
-        assert tempfile_module.mkstemp is not exploding_mkstemp or True
-        pool = fig1_context.candidate_pool()
-        monkeypatch.setenv("REPRO_SNAPSHOT", "auto")
-        assert isinstance(make_snapshot(pool), ScoringSnapshot)
-        monkeypatch.setenv("REPRO_SNAPSHOT", "mmap")
-        with pytest.raises(ConfigError, match="mmap"):
-            make_snapshot(pool)
-
-    @pytest.mark.parametrize("transport", ["pickle", "mmap"])
-    def test_engine_results_identical_across_transports(
-        self, fig1_graph, monkeypatch, transport
-    ):
-        """The transport moves bytes, never scores."""
-        monkeypatch.setenv("REPRO_SNAPSHOT", "pickle")
-        engine = PreviewEngine(fig1_graph)
-        reference = engine.query(k=2, n=4, jobs=1)
-        monkeypatch.setenv("REPRO_SNAPSHOT", transport)
-        engine = PreviewEngine(fig1_graph)
-        result = engine.query(k=2, n=4, jobs=JOBS)
-        assert result.score.hex() == reference.score.hex()
-        assert result.preview.keys() == reference.preview.keys()

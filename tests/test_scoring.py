@@ -1,6 +1,11 @@
 """Unit tests for repro.scoring — including the paper's worked examples."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +108,45 @@ class TestEntropy:
         from collections import Counter
 
         assert value_set_entropy(Counter(), 0) == 0.0
+
+    def test_scores_do_not_depend_on_the_hash_seed(self):
+        """Entropy-scored answers keep their bits across ``PYTHONHASHSEED``.
+
+        Each value histogram is filled by iterating a frozenset of
+        entity ids, whose order follows the process's string hash seed;
+        the entropy sum over it must not.  Two processes with different
+        seeds answer the same film queries and must agree on every
+        score's ``float.hex`` and every payload digest.
+        """
+        code = (
+            "import json\n"
+            "from repro.core.serialize import result_to_dict\n"
+            "from repro.datasets import load_domain\n"
+            "from repro.engine import PreviewEngine, PreviewQuery\n"
+            "from repro.workload import payload_digest\n"
+            "engine = PreviewEngine(load_domain('film', scale=1000, seed=0),\n"
+            "                       nonkey_scorer='entropy')\n"
+            "queries = [PreviewQuery(k=2, n=2),\n"
+            "           PreviewQuery(k=2, n=2, d=2, mode='tight'),\n"
+            "           PreviewQuery(k=3, n=3, d=2, mode='tight')]\n"
+            "results = [engine.run(query) for query in queries]\n"
+            "print(json.dumps([[r.score.hex(),\n"
+            "                   payload_digest({'result': result_to_dict(r)})]\n"
+            "                  for r in results]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        answers = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                check=True,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            answers.append(json.loads(done.stdout))
+        assert answers[0] == answers[1]
 
     def test_requires_entity_graph(self, fig1_schema):
         with pytest.raises(ScoringError):

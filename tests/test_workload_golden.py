@@ -119,10 +119,9 @@ def test_golden_digests_reproduce_under_every_plan_mode(golden, mode):
     """Planner modes replay the recorded payloads digest-for-digest.
 
     The trace was captured before the execution planner existed, so a
-    digest match under ``auto`` (adaptive shard sizing, possibly
-    mid-replay decision flips as the cost model warms) — and
-    under every forced mode — proves planning moves wall time only,
-    never payload bytes, on a real mixed read/write session.
+    digest match under ``auto`` and under every forced mode proves
+    planning moves wall time only, never payload bytes, on a real
+    mixed read/write trace.
     """
     with plan.use_mode(mode):
         result = replay_trace(
