@@ -109,8 +109,9 @@ def crossover_leg(context, backend):
     Each backend scores the subsets its own enumeration returns (a list
     of tuples for python, an index matrix for numpy), the serial call
     lowers the pool as :func:`repro.kernel.best_allocation` does per
-    dispatch, and the sharded call reuses one snapshot and one warm
-    pool, as a long-lived engine does.  Every round visits the points
+    dispatch, and the sharded call re-projects its snapshot as every
+    dispatch does and reuses one warm pool, as a long-lived engine
+    does.  Every round visits the points
     in a new seeded order and alternates which side runs first.
     """
     pool = context.candidate_pool()

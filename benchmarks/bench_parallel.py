@@ -4,12 +4,14 @@ Runs the paper's Alg. 1/3 hot loop — "enumerate qualifying k-subsets,
 ComputePreview each, keep the max" — on the music domain (the largest
 efficiency-experiment domain) two ways and records both wall times:
 
-* **serial** — ``apriori_discover`` / ``brute_force_discover`` at
-  ``jobs=1``, the seed behavior;
-* **sharded** — the same calls at ``jobs=4``: the qualifying-subset list
-  is chunked across worker processes, each worker scores its shard
-  against a picklable :class:`~repro.parallel.ScoringSnapshot`, and the
-  parent materializes the winner (see :mod:`repro.parallel`).
+* **serial** — ``apriori_discover`` / ``brute_force_discover`` with no
+  executor, the seed behavior;
+* **sharded** — the same calls, each handed a fresh 4-worker
+  :class:`~repro.parallel.ShardedExecutor` (so every point pays its own
+  pool start, as a one-shot caller does): the qualifying-subset list is
+  chunked across worker processes, each worker scores its shard against
+  a picklable :class:`~repro.parallel.ScoringSnapshot`, and the parent
+  materializes the winner (see :mod:`repro.parallel`).
 
 The Fig. 9-style grid leans on the constraint the paper itself flags as
 expensive (tight ``d=3`` at ``k=4``: ~250k qualifying subsets on music),
@@ -48,6 +50,7 @@ from repro.core.constraints import (  # noqa: E402
     DistanceConstraint,
     SizeConstraint,
 )
+from repro.parallel import ShardedExecutor  # noqa: E402
 
 DOMAIN = "music"
 JOBS = 4
@@ -82,13 +85,12 @@ def run_points(context, discover, points, jobs, mode_name):
             distance = (
                 DistanceConstraint.from_mode(d, mode) if d is not None else None
             )
-            if discover is apriori_discover:
+            if jobs == 1:
+                results.append(discover(context, size, distance))
+                continue
+            with ShardedExecutor(jobs) as executor:
                 results.append(
-                    apriori_discover(context, size, distance, jobs=jobs)
-                )
-            else:
-                results.append(
-                    brute_force_discover(context, size, distance, jobs=jobs)
+                    discover(context, size, distance, executor=executor)
                 )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     after = plan.decision_counts()

@@ -26,11 +26,7 @@ from .. import kernel
 from ..graph.cliques import k_cliques
 from ..kernel.base import Subsets
 from ..scoring.preview_score import ScoringContext
-from .candidates import (
-    batched_discover,
-    eligible_key_types,
-    sharded_discover,
-)
+from .candidates import discover_among, eligible_key_types
 from .constraints import DistanceConstraint, SizeConstraint, validate_constraints
 from .preview import DiscoveryResult
 from .registry import register_discovery_algorithm
@@ -72,32 +68,25 @@ def apriori_discover(
     size: SizeConstraint,
     distance: DistanceConstraint,
     clique_backend: str = "apriori",
-    jobs: int = 1,
     executor=None,
 ) -> Optional[DiscoveryResult]:
     """Find an optimal tight/diverse preview; None when none exists.
 
     ``clique_backend`` selects the k-clique enumerator: ``"apriori"``
     (the paper's level-wise join) or ``"bron-kerbosch"`` (the classical
-    alternative used by the ablation bench).  ``jobs`` shards the
-    per-subset ComputePreview step across worker processes (0 = all CPU
-    cores); results are bit-identical to the serial run — see
-    :mod:`repro.parallel`.  A live :class:`~repro.parallel.ShardedExecutor`
-    can be passed as ``executor`` to reuse its pool across calls
-    (``jobs`` is then ignored; the caller keeps ownership).
+    alternative used by the ablation bench).  A live
+    :class:`~repro.parallel.ShardedExecutor` passed as ``executor`` (the
+    caller keeps ownership) lets the planner shard the per-subset
+    ComputePreview step across its workers; results are bit-identical
+    to the serial run — see :func:`~repro.core.candidates.discover_among`.
     """
     validate_constraints(size, distance, eligible_key_types(context))
     subsets = qualifying_subsets(context, size, distance, clique_backend)
     if not subsets:
         return None
-    algorithm = f"apriori[{clique_backend}]"
-    if (jobs != 1 or executor is not None) and len(subsets) > 1:
-        return sharded_discover(
-            context, size, subsets, jobs, algorithm, executor=executor
-        )
-    # Serial ComputePreview, batch-at-a-time: one kernel call scores the
-    # whole clique group instead of a per-subset merge (bit-identical).
-    return batched_discover(context, size, subsets, algorithm)
+    return discover_among(
+        context, size, subsets, f"apriori[{clique_backend}]", executor
+    )
 
 
 @register_discovery_algorithm(

@@ -18,13 +18,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .. import kernel
+from .. import kernel, plan
 from ..scoring.preview_score import ScoringContext
-from .candidates import (
-    best_preview_for_keys,
-    eligible_key_types,
-    sharded_discover,
-)
+from .candidates import best_preview_for_keys, discover_among, eligible_key_types
 from .constraints import DistanceConstraint, SizeConstraint, validate_constraints
 from .preview import DiscoveryResult
 from .registry import register_discovery_algorithm
@@ -40,7 +36,6 @@ def brute_force_discover(
     context: ScoringContext,
     size: SizeConstraint,
     distance: Optional[DistanceConstraint] = None,
-    jobs: int = 1,
     executor=None,
 ) -> Optional[DiscoveryResult]:
     """Find an optimal (concise/tight/diverse) preview by enumeration.
@@ -49,13 +44,11 @@ def brute_force_discover(
     nobody satisfies).  Ties in score are broken by enumeration order,
     which is deterministic given the schema construction order — the paper
     likewise returns one optimal preview and notes the extension to all.
-    ``jobs`` shards the per-subset allocation across worker processes
-    (0 = all CPU cores) with bit-identical results — see
-    :mod:`repro.parallel`; the pairwise distance check stays in the
-    parent, which holds the distance oracle.  A live
-    :class:`~repro.parallel.ShardedExecutor` can be passed as
-    ``executor`` to reuse its pool across calls (``jobs`` is then
-    ignored; the caller keeps ownership).
+    A live :class:`~repro.parallel.ShardedExecutor` passed as
+    ``executor`` (the caller keeps ownership) lets the planner shard the
+    per-subset allocation across its workers with bit-identical results
+    — see :func:`~repro.core.candidates.discover_among`; the pairwise
+    distance check stays in the parent, which holds the distance oracle.
     """
     key_pool = eligible_key_types(context)
     validate_constraints(size, distance, key_pool)
@@ -66,30 +59,14 @@ def brute_force_discover(
         for keys in combinations(key_pool, size.k)
         if distance is None or distance.keys_ok(oracle, keys)
     )
-    if jobs != 1 or executor is not None:
-        # Imported lazily: jobs=1 callers never touch the parallel
-        # subsystem.
-        from ..parallel import resolve_jobs
-
-        # C(K, k) bounds the qualifying count before anything is
-        # materialized: small key pools skip the worker pool outright.
-        estimate = kernel.estimated_subsets(len(key_pool), size.k)
-        effective_jobs = (
-            executor.jobs if executor is not None else resolve_jobs(jobs)
+    # C(K, k) bounds the qualifying count before anything is
+    # materialized: only a batch the planner would shard is listed.
+    if executor is not None and plan.should_shard(
+        plan.estimated_subsets(len(key_pool), size.k), executor.jobs
+    ):
+        return discover_among(
+            context, size, list(qualifying), "brute-force", executor
         )
-        if kernel.should_shard(estimate, effective_jobs):
-            qualifying = list(qualifying)
-            if len(qualifying) > 1:
-                return sharded_discover(
-                    context,
-                    size,
-                    qualifying,
-                    jobs,
-                    "brute-force",
-                    executor=executor,
-                )
-            # 0 or 1 qualifying subsets: fall through to the serial scan
-            # over the already-filtered list rather than re-enumerating.
 
     # Serial path: stream the combination generator through the batched
     # kernel in bounded chunks (the enumeration can be astronomically

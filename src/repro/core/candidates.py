@@ -26,8 +26,9 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence, Tuple
 
-from .. import kernel
+from .. import kernel, plan
 from ..exceptions import UnknownTypeError
+from ..kernel.base import Subsets
 from ..model.ids import TypeId
 from ..scoring.candidate_pool import CandidatePool
 from ..scoring.preview_score import ScoringContext
@@ -164,108 +165,38 @@ def best_preview_for_keys(
     return profile.preview_at(pool, extra_cap), profile.score_at(extra_cap)
 
 
-def batched_discover(
+def discover_among(
     context: ScoringContext,
     size: SizeConstraint,
-    subsets: Sequence[Tuple[TypeId, ...]],
+    subsets: Subsets,
     algorithm: str,
+    executor=None,
 ) -> Optional[DiscoveryResult]:
-    """:class:`DiscoveryResult` from one serial batched-kernel evaluation.
+    """ComputePreview on every subset of one batch, keeping the best.
 
-    Scores every subset in a single :func:`repro.kernel.best_allocation`
-    call against the live candidate pool and materializes only the
-    winner — the batch-at-a-time replacement for the per-subset
-    "ComputePreview each, keep the max" loops.  Every subset counts as
-    examined, and the kernel's lowest-index tie-break matches the serial
-    strict-``>`` scan, so results are bit-identical to the seed loops.
+    The shared last step of Alg. 1 and Alg. 3, and the only code that
+    takes a listed batch of key subsets to a :class:`DiscoveryResult`
+    (serial brute force streams its enumeration instead).  Without
+    an ``executor`` one serial :func:`repro.kernel.best_allocation` call
+    scores the batch against the live candidate pool.  With a live
+    :class:`~repro.parallel.ShardedExecutor` (the caller keeps
+    ownership), :func:`repro.plan.should_shard` decides whether the
+    batch goes to its workers instead.  Either way the winner is the
+    lowest-index subset among equal scores, matching the serial
+    strict-``>`` scan, and only it is materialized here against the real
+    pool, so both routes are bit-identical.  Every subset counts as
+    examined; returns None when every subset is infeasible.
     """
     pool = context.candidate_pool()
-    best = kernel.best_allocation(pool, subsets, size.n - size.k)
+    extra_cap = size.n - size.k
+    if executor is not None and plan.should_shard(len(subsets), executor.jobs):
+        best = executor.best_allocation(pool, subsets, extra_cap)
+    else:
+        best = kernel.best_allocation(pool, subsets, extra_cap)
     if best is None:
         return None
     allocation = best_preview_for_keys(context, subsets[best[1]], size)
     if allocation is None:  # pragma: no cover - kernel said feasible
-        return None
-    preview, score = allocation
-    return DiscoveryResult(
-        preview=preview,
-        score=score,
-        algorithm=algorithm,
-        key_scorer=context.key_scorer_name,
-        nonkey_scorer=context.nonkey_scorer_name,
-        candidates_examined=len(subsets),
-    )
-
-
-def sharded_best_preview(
-    context: ScoringContext,
-    size: SizeConstraint,
-    subsets: Sequence[Tuple[TypeId, ...]],
-    jobs: int,
-    executor: Optional[object] = None,
-) -> Optional[Tuple[Preview, float]]:
-    """Best allocation over ``subsets``, sharded across worker processes.
-
-    The parallel counterpart of the serial "ComputePreview each subset,
-    keep the max" loops of Alg. 1/3: workers score shards against a
-    picklable snapshot of the candidate pool (see :mod:`repro.parallel`)
-    and only the winning subset — lowest index among equal scores,
-    matching the serial strict-``>`` tie-break — is materialized here
-    against the real pool.  Returns None when every subset is
-    infeasible (duplicate keys, or a key with no candidate attribute).
-
-    An already-running :class:`~repro.parallel.ShardedExecutor` can be
-    passed as ``executor`` to amortize its worker pool across many calls
-    (the engine does this for sweep batches); the caller keeps ownership
-    and ``jobs`` is ignored.  Otherwise a pool is created per call.
-    """
-    # Imported lazily: jobs=1 callers never touch the parallel subsystem.
-    from ..parallel import ScoringSnapshot, ShardedExecutor
-
-    snapshot = ScoringSnapshot.from_pool(context.candidate_pool())
-    extra_cap = size.n - size.k
-    if executor is not None:
-        best = executor.best_allocation(snapshot, subsets, extra_cap)
-    else:
-        with ShardedExecutor(jobs) as owned:
-            best = owned.best_allocation(snapshot, subsets, extra_cap)
-    if best is None:
-        return None
-    return best_preview_for_keys(context, subsets[best[1]], size)
-
-
-def sharded_discover(
-    context: ScoringContext,
-    size: SizeConstraint,
-    subsets: Sequence[Tuple[TypeId, ...]],
-    jobs: int,
-    algorithm: str,
-    executor: Optional[object] = None,
-) -> Optional[DiscoveryResult]:
-    """:class:`DiscoveryResult` assembled from a sharded evaluation.
-
-    Shared tail of the ``jobs != 1`` paths of ``apriori_discover`` and
-    ``brute_force_discover``: every subset counts as examined (the
-    serial loops score each qualifying subset), and the result carries
-    the caller's ``algorithm`` label.
-
-    Small batches never reach the worker pool: below the active kernel
-    backend's shard threshold (see :mod:`repro.plan`) one serial kernel
-    call beats a dispatch to the pool, so the evaluation runs inline
-    regardless of ``jobs``.
-    """
-    if executor is not None:
-        effective_jobs = executor.jobs
-    else:
-        from ..parallel import resolve_jobs
-
-        effective_jobs = resolve_jobs(jobs)
-    if not kernel.should_shard(len(subsets), effective_jobs):
-        return batched_discover(context, size, subsets, algorithm)
-    allocation = sharded_best_preview(
-        context, size, subsets, jobs, executor=executor
-    )
-    if allocation is None:
         return None
     preview, score = allocation
     return DiscoveryResult(

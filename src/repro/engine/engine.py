@@ -41,7 +41,7 @@ engine with full memoization (though without the clique-group reuse).
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .. import kernel, plan
 from ..core.apriori import (
@@ -53,7 +53,7 @@ from ..core.brute_force import brute_force_discover as _builtin_brute_force
 from ..core.dynamic_prog import (
     _registered_dynamic_programming as _builtin_dynamic_programming,
 )
-from ..core.candidates import build_allocation_profile, eligible_key_types
+from ..core.candidates import discover_among, eligible_key_types
 from ..core.constraints import (
     DistanceConstraint,
     SizeConstraint,
@@ -65,12 +65,10 @@ from ..core.registry import AlgorithmSpec, resolve_algorithm
 from ..exceptions import InfeasiblePreviewError
 from ..kernel.base import Subsets, subset_members
 from ..model.ids import TypeId
+from ..parallel import ShardedExecutor
 from ..scoring.base import scorer_pair_supports_delta
 from ..scoring.preview_score import ScoringContext
 from .query import PreviewQuery
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, keeps jobs=1 lean
-    from ..parallel import ShardedExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -152,10 +150,6 @@ class PreviewEngine:
         #: dependency set of every result answered from that group),
         #: filled on first read, which only dependency tracking makes.
         self._group_deps: Dict[Tuple, FrozenSet[TypeId]] = {}
-        #: Cached worker-pool snapshot + the types dirtied since it was
-        #: projected (refreshed in O(delta) on the next parallel build).
-        self._snapshot = None
-        self._snapshot_dirty: set = set()
         #: Whether this engine's scorer pair allows type-scoped eviction
         #: (both scorers must declare ``supports_delta``); resolved once
         #: from the scorer registries, False for unknown names.
@@ -213,8 +207,6 @@ class PreviewEngine:
         self._result_deps.clear()
         self._subsets.clear()
         self._group_deps.clear()
-        self._snapshot = None
-        self._snapshot_dirty.clear()
         self._eligible_deps = None
         self._invalidations += 1
 
@@ -295,8 +287,7 @@ class PreviewEngine:
         Memo entries whose dependency set intersects ``dirty`` are
         dropped; the rest — results over provably untouched scores —
         survive.  Qualifying-subset enumerations depend only on schema
-        structure and are kept outright; the worker snapshot
-        accumulates the dirty set for its next O(delta) refresh.
+        structure and are kept outright.
         """
         stale_keys = [
             key for key, deps in self._result_deps.items() if deps & dirty
@@ -306,8 +297,6 @@ class PreviewEngine:
             del self._result_deps[key]
         self._evicted += len(stale_keys)
         self._retained += len(self._results)
-        if self._snapshot is not None:
-            self._snapshot_dirty.update(dirty)
 
     # ------------------------------------------------------------------
     # Queries
@@ -337,7 +326,7 @@ class PreviewEngine:
         self,
         query: PreviewQuery,
         jobs: int = 1,
-        executor: Optional["ShardedExecutor"] = None,
+        executor: Optional[ShardedExecutor] = None,
     ) -> DiscoveryResult:
         """Answer a :class:`PreviewQuery`; raises when infeasible.
 
@@ -369,7 +358,11 @@ class PreviewEngine:
         DiscoveryError
             When the query's constraints are malformed.
         """
-        result = self._run_cached(query, jobs=jobs, executor=executor)
+        if executor is None and jobs != 1:
+            with ShardedExecutor(jobs) as owned:
+                result = self._run_cached(query, owned)
+        else:
+            result = self._run_cached(query, executor)
         if result is None:
             raise InfeasiblePreviewError(
                 f"no preview satisfies the constraints ({query.describe()})"
@@ -381,7 +374,7 @@ class PreviewEngine:
         queries: Iterable[PreviewQuery],
         skip_infeasible: bool = False,
         jobs: int = 1,
-        executor: Optional["ShardedExecutor"] = None,
+        executor: Optional[ShardedExecutor] = None,
     ) -> List[Optional[DiscoveryResult]]:
         """Answer a batch of queries, sharing state across points.
 
@@ -431,8 +424,6 @@ class PreviewEngine:
             )
             return []
         if executor is None and jobs != 1:
-            from ..parallel import ShardedExecutor
-
             # One pool amortized over the whole batch: every sharded
             # point reuses the same workers.
             with ShardedExecutor(jobs) as owned:
@@ -443,11 +434,11 @@ class PreviewEngine:
         self,
         queries: List[PreviewQuery],
         skip_infeasible: bool,
-        executor: Optional["ShardedExecutor"],
+        executor: Optional[ShardedExecutor],
     ) -> List[Optional[DiscoveryResult]]:
         results: List[Optional[DiscoveryResult]] = []
         for query in queries:
-            result = self._run_cached(query, executor=executor)
+            result = self._run_cached(query, executor)
             if result is None and not skip_infeasible:
                 raise InfeasiblePreviewError(
                     f"no preview satisfies the constraints ({query.describe()})"
@@ -468,10 +459,7 @@ class PreviewEngine:
     # Execution
     # ------------------------------------------------------------------
     def _run_cached(
-        self,
-        query: PreviewQuery,
-        jobs: int = 1,
-        executor: Optional["ShardedExecutor"] = None,
+        self, query: PreviewQuery, executor: Optional[ShardedExecutor]
     ) -> Optional[DiscoveryResult]:
         self._sync_generation()
         # Validate the constraints before touching any counter or memo
@@ -489,7 +477,7 @@ class PreviewEngine:
         # mid-flight must not skew the statistics of retried queries.
         before = kernel.kernel_stats()
         plan_before = plan.decision_counts()
-        result = self._execute(spec, query, jobs=jobs, executor=executor)
+        result = self._execute(spec, query, executor)
         after = kernel.kernel_stats()
         self._accumulate_plan_decisions(plan_before)
         self._kernel_batches += after["batches"] - before["batches"]
@@ -536,35 +524,26 @@ class PreviewEngine:
         self,
         spec: AlgorithmSpec,
         query: PreviewQuery,
-        jobs: int = 1,
-        executor: Optional["ShardedExecutor"] = None,
+        executor: Optional[ShardedExecutor],
     ) -> Optional[DiscoveryResult]:
         context = self.context
         size = query.size()
         distance = query.distance()
         # The clique-group fast path stands in for the *built-in*
         # Apriori only; a shadowing re-registration under the same name
-        # must win.
+        # must win.  It answers a point exactly as ``apriori_discover``
+        # would, from the group's cached qualifying subsets.
         if distance is not None and spec.runner is _builtin_apriori_runner:
-            if executor is not None:
-                return self._execute_apriori(
-                    context, size, distance, executor=executor
-                )
-            if jobs != 1:
-                from ..parallel import ShardedExecutor
-
-                # Lazily started: a pool only spins up if the planner
-                # shards this group.
-                with ShardedExecutor(jobs) as owned:
-                    return self._execute_apriori(
-                        context, size, distance, executor=owned
-                    )
-            return self._execute_apriori(context, size, distance)
-        if (jobs != 1 or executor is not None) and (
-            spec.runner is _builtin_brute_force
-        ):
+            validate_constraints(size, distance, eligible_key_types(context))
+            subsets = self._group_subsets(context, size, distance)
+            if not subsets:
+                return None
+            return discover_among(
+                context, size, subsets, "apriori[apriori]", executor
+            )
+        if executor is not None and spec.runner is _builtin_brute_force:
             return _builtin_brute_force(
-                context, size, distance, jobs=jobs, executor=executor
+                context, size, distance, executor=executor
             )
         return spec.run(context, size, distance)
 
@@ -588,65 +567,3 @@ class PreviewEngine:
             subsets = qualifying_subsets(context, size, distance)
             self._subsets[group_key] = subsets
         return subsets
-
-    def _current_snapshot(self, pool):
-        """The worker-pool snapshot for ``pool``, refreshed in O(delta).
-
-        Built once, then patched with the types dirtied since the last
-        parallel build (see :meth:`~repro.parallel.ScoringSnapshot.refresh`):
-        untouched rows keep their already-projected scores, so a
-        long-lived executor stays warm across mutations.  Full
-        invalidations reset it.
-        """
-        from ..parallel import ScoringSnapshot
-
-        if self._snapshot is None:
-            self._snapshot = ScoringSnapshot.from_pool(pool)
-        elif self._snapshot_dirty:
-            self._snapshot = self._snapshot.refresh(pool, self._snapshot_dirty)
-        self._snapshot_dirty.clear()
-        return self._snapshot
-
-    def _execute_apriori(
-        self,
-        context: ScoringContext,
-        size: SizeConstraint,
-        distance: DistanceConstraint,
-        executor: Optional["ShardedExecutor"] = None,
-    ) -> Optional[DiscoveryResult]:
-        """Answer one tight/diverse point from the group's cached subsets.
-
-        Produces the same :class:`DiscoveryResult` (preview, score and
-        bookkeeping) as :func:`repro.core.apriori.apriori_discover`: one
-        batched kernel call scores the whole group at this budget
-        (sharded over the executor when the planner says so), and only
-        the winner's allocation profile is built.
-        """
-        validate_constraints(size, distance, eligible_key_types(context))
-        subsets = self._group_subsets(context, size, distance)
-        if not subsets:
-            return None
-        extra_cap = size.n - size.k
-        pool = context.candidate_pool()
-        if executor is not None and kernel.should_shard(
-            len(subsets), executor.jobs
-        ):
-            snapshot = self._current_snapshot(pool)
-            best_at = executor.best_allocation(snapshot, subsets, extra_cap)
-        else:
-            best_at = kernel.best_allocation(pool, subsets, extra_cap)
-        if best_at is None:
-            return None
-        winner = build_allocation_profile(
-            pool, subsets[best_at[1]], cap=extra_cap
-        )
-        if winner is None:  # pragma: no cover - kernel said feasible
-            return None
-        return DiscoveryResult(
-            preview=winner.preview_at(pool, extra_cap),
-            score=winner.score_at(extra_cap),
-            algorithm="apriori[apriori]",
-            key_scorer=context.key_scorer_name,
-            nonkey_scorer=context.nonkey_scorer_name,
-            candidates_examined=len(subsets),
-        )

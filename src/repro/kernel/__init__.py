@@ -39,7 +39,6 @@ from .base import (
     record_batch,
     reset_kernel_stats,
 )
-from ..plan import estimated_subsets, should_shard
 from .pure import PythonBackend
 
 __all__ = [
@@ -52,13 +51,11 @@ __all__ = [
     "available_backends",
     "backend_name",
     "best_allocation",
-    "estimated_subsets",
     "get_backend",
     "kernel_stats",
     "record_batch",
     "reset_kernel_stats",
     "set_backend",
-    "should_shard",
     "use_backend",
 ]
 

@@ -3,7 +3,7 @@
 The paper's discovery pipeline assumes a static graph; the ROADMAP's live
 workloads do not.  Incremental maintenance needs more than a *count* of
 mutations (the seed's ``generation`` integer): every consumer downstream
-— scoring contexts, candidate pools, engine memos, worker snapshots —
+— scoring contexts, candidate pools, engine memos —
 wants to know *which* key types and relationship types a batch of
 mutations touched, so it can patch in O(delta) instead of rebuilding in
 O(graph).

@@ -3,11 +3,11 @@
 :class:`ShardedExecutor` chunks a qualifying-subset list into contiguous
 shards, ships each shard (plus one :class:`ScoringSnapshot`) to a worker
 process, and reduces the per-shard answers with the exact serial
-tie-break order.  Two shard operations cover both call sites:
+tie-break order.  Two shard operations:
 
 * :meth:`ShardedExecutor.best_allocation` — score every subset at one
   attribute budget, return the global best ``(score, subset_index)``;
-  used by ``apriori_discover``/``brute_force_discover``.
+  its one caller is :func:`~repro.core.candidates.discover_among`.
 * :meth:`ShardedExecutor.build_profiles` — build the full allocation
   profile payload (pick sequence + cumulative scores) per subset.  No
   engine path calls it (or :meth:`ShardedExecutor.build_profile_groups`)
@@ -218,12 +218,15 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     def best_allocation(
         self,
-        snapshot: ScoringSnapshot,
+        pool,
         subsets: Sequence[Tuple[TypeId, ...]],
         extra_cap: int,
     ) -> Optional[Tuple[float, int]]:
         """Globally best ``(score, subset_index)`` at one budget.
 
+        ``pool`` is the live :class:`~repro.scoring.CandidatePool` (a
+        :class:`ScoringSnapshot` works too); each call ships a fresh
+        snapshot of it, so a mutated pool can never be scored stale.
         The reduction keeps the first strict maximum over shards in
         index order, so the winner is the lowest-index subset among
         equal scores — bit-identical to the serial loops.
@@ -234,7 +237,9 @@ class ShardedExecutor:
         # invisible here, and the inline jobs=1 path must not double
         # count (backends themselves never record).
         kernel.record_batch(len(subsets))
-        payloads = self._payloads(snapshot, subsets, extra_cap)
+        payloads = self._payloads(
+            ScoringSnapshot.from_pool(pool), subsets, extra_cap
+        )
         best: Optional[Tuple[float, int]] = None
         for shard_best in self._map(_score_shard, payloads):
             if shard_best is None:

@@ -13,7 +13,7 @@ pickles to under 5 kB at any scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..model.ids import TypeId
 from ..scoring.candidate_pool import CandidatePool
@@ -45,36 +45,10 @@ class ScoringSnapshot:
 
     @classmethod
     def from_pool(cls, pool: CandidatePool) -> "ScoringSnapshot":
-        """Project ``pool`` into a fresh snapshot (full re-projection).
+        """Project ``pool`` (or another snapshot) into a fresh snapshot.
 
         Returns a snapshot whose ``weighted`` rows alias the pool's
-        immutable tuples — cheap to build, cheap to pickle.
+        immutable tuples: only the index dict is copied, so a build
+        costs microseconds, far below one pool dispatch.
         """
         return cls(index=dict(pool.index), weighted=pool.weighted)
-
-    def refresh(
-        self, pool: CandidatePool, dirty_types: Iterable[TypeId]
-    ) -> "ScoringSnapshot":
-        """A new snapshot with only the dirty types' rows re-projected.
-
-        The delta-maintenance hook that keeps a long-lived
-        :class:`~repro.parallel.ShardedExecutor` warm across mutations:
-        instead of re-projecting (and later re-pickling) every row,
-        untouched rows *share* their float tuples with this snapshot —
-        only dirty-type payloads are taken from the patched ``pool``.
-        Falls back to :meth:`from_pool` when the pool's type universe
-        differs (a structural mutation rebuilt it from scratch).
-        """
-        if pool.index != self.index:
-            return self.from_pool(pool)
-        rows = list(self.weighted)
-        changed = False
-        for type_name in dirty_types:
-            i = self.index.get(type_name)
-            if i is None:  # unknown dirty type: universe changed after all
-                return self.from_pool(pool)
-            rows[i] = pool.weighted[i]
-            changed = True
-        if not changed:
-            return self
-        return ScoringSnapshot(index=self.index, weighted=tuple(rows))

@@ -41,7 +41,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Optional
 
-from .. import config
+from .. import config, kernel
 from ..exceptions import PlanError
 
 #: Environment variable selecting the planner mode (declared in
@@ -135,10 +135,6 @@ def estimated_subsets(eligible_count: int, k: int) -> int:
 
 def shard_threshold() -> int:
     """The active kernel backend's shard threshold, in subsets."""
-    # Imported lazily: repro.kernel imports this module at load time,
-    # so the dependency must stay call-time-only to avoid a cycle.
-    from .. import kernel
-
     return kernel.active_backend().shard_threshold
 
 

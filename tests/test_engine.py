@@ -31,8 +31,9 @@ from repro.exceptions import (
 from repro.ext import IncrementalEntityGraph
 from repro.model import RelationshipTypeId
 
-#: The engine module itself (the package re-exports only the class).
-ENGINE_MODULE = importlib.import_module("repro.engine.engine")
+#: The module whose ``build_allocation_profile`` materializes every
+#: winner (``best_preview_for_keys`` looks the name up there).
+CANDIDATES_MODULE = importlib.import_module("repro.core.candidates")
 
 #: Worker count for the sharded legs (CI pins REPRO_TEST_JOBS=2/4).
 JOBS = config.test_jobs()
@@ -451,16 +452,26 @@ class TestEngineCacheInvalidation:
 def count_profile_builds(monkeypatch):
     """Record the key subset of every allocation profile the engine builds."""
     built = []
-    real = ENGINE_MODULE.build_allocation_profile
+    real = CANDIDATES_MODULE.build_allocation_profile
 
     def counting(pool, keys, cap=None):
         built.append(tuple(keys))
         return real(pool, keys, cap=cap)
 
-    monkeypatch.setattr(ENGINE_MODULE, "build_allocation_profile", counting)
+    monkeypatch.setattr(CANDIDATES_MODULE, "build_allocation_profile", counting)
     return built
 
 
+@pytest.fixture
+def batched_kernel():
+    """Keep a batched backend active: the per-subset oracle kernel scores
+    every subset through ``build_allocation_profile`` itself."""
+    name = kernel.backend_name()
+    with kernel.use_backend("python" if name == "oracle" else name):
+        yield
+
+
+@pytest.mark.usefixtures("batched_kernel")
 class TestSweepThroughKernel:
     """Sweep points are answered like one-shot queries.
 

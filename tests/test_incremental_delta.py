@@ -1,9 +1,9 @@
 """Delta-maintained scoring pipeline, end to end.
 
 Covers the mutation changelog (:class:`MutationLog`), O(delta) patching
-of :class:`ScoringContext`/:class:`CandidatePool`/:class:`ScoringSnapshot`,
-and the engine's type-scoped invalidation — always against the ground
-truth of a from-scratch rebuild, compared bit-for-bit.
+of :class:`ScoringContext`/:class:`CandidatePool`, and the engine's
+type-scoped invalidation — always against the ground truth of a
+from-scratch rebuild, compared bit-for-bit.
 """
 
 
@@ -16,7 +16,6 @@ from repro.engine import PreviewEngine, PreviewQuery
 from repro.exceptions import InfeasiblePreviewError, ScoringError
 from repro.ext import IncrementalEntityGraph
 from repro.model import MutationLog, RelationshipTypeId
-from repro.parallel import ScoringSnapshot
 from repro.scoring import ScoringContext
 from repro import config
 
@@ -194,48 +193,6 @@ class TestContextPatching:
             inc.schema, inc.entity_graph, key_scorer="random_walk"
         )
         assert rebuilt_walk.key_scores() == fresh.key_scores()
-
-
-class TestSnapshotRefresh:
-    def test_refresh_patches_only_dirty_rows(self):
-        inc = triangle_graph()
-        old_pool = inc.context().candidate_pool()
-        snapshot = ScoringSnapshot.from_pool(old_pool)
-        inc.add_entity("film7", ["FILM"])
-        new_pool = inc.context().candidate_pool()
-        refreshed = snapshot.refresh(new_pool, {"FILM"})
-        assert refreshed.index is snapshot.index
-        film = snapshot.index["FILM"]
-        for i in range(len(snapshot.weighted)):
-            if i == film:
-                assert refreshed.weighted[i] == new_pool.weighted[i]
-            else:
-                assert refreshed.weighted[i] is snapshot.weighted[i]
-        assert refreshed.weighted == ScoringSnapshot.from_pool(new_pool).weighted
-
-    def test_refresh_with_no_dirt_returns_self(self):
-        pool = triangle_graph().context().candidate_pool()
-        snapshot = ScoringSnapshot.from_pool(pool)
-        assert snapshot.refresh(pool, ()) is snapshot
-
-    def test_refresh_rebuilds_on_unknown_dirty_type(self):
-        """A dirty type outside the snapshot's universe forces a rebuild."""
-        pool = triangle_graph().context().candidate_pool()
-        snapshot = ScoringSnapshot.from_pool(pool)
-        rebuilt = snapshot.refresh(pool, ["NO SUCH TYPE"])
-        assert rebuilt is not snapshot
-        assert rebuilt.index == snapshot.index
-        assert rebuilt.weighted == snapshot.weighted
-
-    def test_refresh_falls_back_on_universe_change(self):
-        inc = triangle_graph()
-        snapshot = ScoringSnapshot.from_pool(inc.context().candidate_pool())
-        inc.add_entity("award0", ["AWARD"])  # structural: new type
-        inc.add_relationship("film0", "award0", WON)
-        rebuilt_pool = inc.context().candidate_pool()
-        refreshed = snapshot.refresh(rebuilt_pool, {"FILM"})
-        assert refreshed.index == dict(rebuilt_pool.index)
-        assert refreshed.weighted == rebuilt_pool.weighted
 
 
 class TestTypeScopedInvalidation:

@@ -13,7 +13,9 @@ approximate equality.  Coverage:
   backend, including against a mutation-patched incremental pool;
 * a subprocess guard proving ``REPRO_KERNEL=python`` never imports
   numpy;
-* unit tests for backend selection and the dispatch planner.
+* unit tests for backend selection, and for the planner rules that
+  read the active backend (the rest of the planner's tests live in
+  ``tests/test_plan.py``).
 """
 
 from __future__ import annotations
@@ -388,7 +390,7 @@ class TestBackendSelection:
 
 
 class TestDispatchPlan:
-    """The kernel facade's dispatch rule (served by :mod:`repro.plan`).
+    """The planner's rules as seen from the active kernel backend.
 
     Forced to ``auto`` mode, the default.  The boundary per backend and
     the other modes live in ``tests/test_plan.py``.
@@ -405,22 +407,9 @@ class TestDispatchPlan:
         """The threshold is the active backend's measured constant."""
         assert plan.shard_threshold() == kernel.active_backend().shard_threshold
 
-    def test_serial_jobs_never_shard(self, monkeypatch):
-        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 8)
-        threshold = plan.shard_threshold()
-        assert not kernel.should_shard(10**9, 1)
-        assert kernel.should_shard(threshold, 2)
-        assert not kernel.should_shard(threshold - 1, 2)
-
     def test_one_core_vetoes_sharding(self, monkeypatch):
         """Workers pinned to one core serialize: never worth dispatching."""
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 1)
-        assert not kernel.should_shard(10**9, 8)
+        assert not plan.should_shard(10**9, 8)
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 2)
-        assert kernel.should_shard(10**9, 8)
-
-    def test_estimated_subsets(self):
-        assert kernel.estimated_subsets(5, 2) == 10
-        assert kernel.estimated_subsets(5, 0) == 1
-        assert kernel.estimated_subsets(5, 6) == 0
-        assert kernel.estimated_subsets(5, -1) == 0
+        assert plan.should_shard(10**9, 8)

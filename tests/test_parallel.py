@@ -1,8 +1,9 @@
 """Parallel sharded execution: parallel == serial, bit for bit.
 
-The CI matrix runs this module a second time with ``REPRO_TEST_JOBS=2``
-exported, so every parallel==serial property here is exercised both
-inline (degenerate single-shard paths) and across a real process pool.
+Under the default ``auto`` planner mode no batch here reaches a shard
+threshold, so these properties run inline; CI re-runs this module under
+``REPRO_PLAN=sharded`` with ``REPRO_TEST_JOBS=4``, which sends every
+multi-subset batch across a real 4-worker pool.
 """
 
 
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import EntityGraphBuilder
 from repro.cli import main
-from repro.core import apriori_discover, brute_force_discover
+from repro.core import apriori_discover, brute_force_discover, make_context
 from repro.core.candidates import (
     best_preview_for_keys,
     build_allocation_profile,
-    sharded_best_preview,
+    discover_among,
 )
 from repro.core.constraints import DistanceConstraint, SizeConstraint
 from repro.datasets import random_schema_graph
@@ -25,8 +27,8 @@ from repro.parallel import ScoringSnapshot, ShardedExecutor, resolve_jobs
 from repro.scoring import ScoringContext
 from repro import config, plan
 
-#: Worker count used by the equivalence tests (the CI "jobs=2 leg" sets
-#: REPRO_TEST_JOBS=2 explicitly; any value >= 2 exercises real shards).
+#: Worker count used by the equivalence tests (REPRO_TEST_JOBS, 2 by
+#: default; any value >= 2 exercises real shards once a batch shards).
 JOBS = config.test_jobs()
 
 SMALL = settings(
@@ -99,8 +101,9 @@ class TestShardedExecutor:
 
         ``best_preview_for_keys`` rejects duplicates, so a worker must
         not let one win the reduction on its double-counted score (the
-        shipped callers never produce duplicates, but the helper's
-        contract should hold for any subset list).
+        shipped callers never produce duplicates, but the dispatch's
+        contract should hold for any subset list).  Forced ``sharded``
+        mode sends the 2-subset batch across a real pool.
         """
         pool = fig1_context.candidate_pool()
         strongest = max(
@@ -108,15 +111,19 @@ class TestShardedExecutor:
         )
         other = next(t for t in pool.eligible if t != strongest)
         size = SizeConstraint(k=2, n=4)
-        result = sharded_best_preview(
-            fig1_context,
-            size,
-            [(strongest, strongest), (strongest, other)],
-            jobs=JOBS,
-        )
-        assert result == best_preview_for_keys(
+        with plan.use_mode("sharded"), ShardedExecutor(max(JOBS, 2)) as executor:
+            result = discover_among(
+                fig1_context,
+                size,
+                [(strongest, strongest), (strongest, other)],
+                "test",
+                executor,
+            )
+            assert executor._pool is not None, "the batch never left the parent"
+        assert (result.preview, result.score) == best_preview_for_keys(
             fig1_context, (strongest, other), size
         )
+        assert result.candidates_examined == 2
 
     def test_executor_reuse_across_calls(self, fig1_context):
         """One executor may serve many calls (the engine sweep pattern)."""
@@ -198,6 +205,38 @@ class TestShardBoundaries:
             serial = build_allocation_profile(pool, keys, cap=3)
             assert payload == (serial.picks, serial.cum, serial.cap)
 
+    @pytest.mark.parametrize("d, qualifying", [(3, 0), (2, 1)])
+    def test_brute_force_lists_zero_or_one_subset_like_serial(
+        self, d, qualifying
+    ):
+        """Forced sharded, brute force lists its qualifying subsets even
+        when the distance check leaves 0 or 1 of the C(3, 2) pairs; the
+        answer, ``candidates_examined`` included, is the serial one."""
+        builder = EntityGraphBuilder("path")
+        builder.entity("film0", "FILM").entity("actor0", "ACTOR")
+        builder.entity("director0", "DIRECTOR")
+        builder.relate("actor0", "Acted In", "film0")
+        builder.relate("director0", "Directed", "film0")
+        context = make_context(builder.build())
+        size = SizeConstraint(k=2, n=4)
+        distance = DistanceConstraint.diverse(d)  # only ACTOR-DIRECTOR is 2 apart
+        serial = brute_force_discover(context, size, distance)
+        with plan.use_mode("sharded"), ShardedExecutor(2) as executor:
+            before = plan.decision_counts()
+            sharded = brute_force_discover(
+                context, size, distance, executor=executor
+            )
+            after = plan.decision_counts()
+        # One verdict listed the estimate's C(3, 2) = 3 subsets; the
+        # listed batch of 0 or 1 was then scored inline.
+        assert after["sharded"] - before["sharded"] == 1
+        assert after["serial"] - before["serial"] == 1
+        assert sharded == serial
+        if qualifying == 0:
+            assert serial is None
+        else:
+            assert serial.candidates_examined == 1
+
     def test_one_shard_all_infeasible_other_feasible(self):
         """A shard whose every subset is infeasible reduces to the other's."""
         snapshot = ScoringSnapshot(
@@ -229,7 +268,10 @@ class TestAlgorithmEquivalence:
             DistanceConstraint.tight(d) if tight else DistanceConstraint.diverse(d)
         )
         serial = apriori_discover(context, size, constraint)
-        parallel = apriori_discover(context, size, constraint, jobs=JOBS)
+        with ShardedExecutor(JOBS) as executor:
+            parallel = apriori_discover(
+                context, size, constraint, executor=executor
+            )
         assert serial == parallel  # dataclass equality: bit-identical floats
 
     @SMALL
@@ -240,7 +282,10 @@ class TestAlgorithmEquivalence:
         size = SizeConstraint(k=k, n=k + 3)
         constraint = DistanceConstraint.tight(d) if d else None
         serial = brute_force_discover(context, size, constraint)
-        parallel = brute_force_discover(context, size, constraint, jobs=JOBS)
+        with ShardedExecutor(JOBS) as executor:
+            parallel = brute_force_discover(
+                context, size, constraint, executor=executor
+            )
         assert serial == parallel
 
     @SMALL
@@ -363,15 +408,9 @@ class TestSerialFallback:
 
     def test_jobs_zero_resolves_to_cpu_count(self, fig1_context):
         """jobs=0 must work end to end, whatever the machine size."""
-        serial = apriori_discover(
-            fig1_context, SizeConstraint(k=2, n=4), DistanceConstraint.tight(1)
-        )
-        auto = apriori_discover(
-            fig1_context,
-            SizeConstraint(k=2, n=4),
-            DistanceConstraint.tight(1),
-            jobs=0,
-        )
+        query = PreviewQuery(k=2, n=4, d=1, mode="tight")
+        serial = PreviewEngine(fig1_context).run(query)
+        auto = PreviewEngine(fig1_context).run(query, jobs=0)
         assert serial == auto
 
 

@@ -91,23 +91,33 @@ class TestPlannerDecisions:
         assert verdicts == [True, False, False]
         assert delta == {"sharded": 1, "serial": 2}
 
-    @pytest.mark.parametrize("case", ["below", "at", "vetoed"])
+    @pytest.mark.parametrize("case", ["below", "at", "vetoed", "one-job"])
     @pytest.mark.parametrize("backend", kernel.available_backends())
     def test_auto_threshold_boundary(self, backend, case, monkeypatch):
         """Per backend: threshold - 1 runs serial, the threshold shards,
-        and one usable core vetoes the threshold."""
+        one usable core vetoes it, and one job never shards however
+        large the batch."""
         threshold = kernel.get_backend(backend).shard_threshold
         assert threshold > 2
         cores = 1 if case == "vetoed" else 2
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: cores)
-        subsets = threshold - 1 if case == "below" else threshold
+        subsets = {"below": threshold - 1, "one-job": 10**9}.get(case, threshold)
+        jobs = 1 if case == "one-job" else 2
         with kernel.use_backend(backend), plan.use_mode("auto"):
-            verdict, delta = counted(lambda: plan.should_shard(subsets, jobs=2))
+            assert plan.shard_threshold() == threshold
+            verdict, delta = counted(lambda: plan.should_shard(subsets, jobs))
         assert (verdict, delta) == {
             "below": (False, {"serial": 1}),
             "at": (True, {"sharded": 1}),
             "vetoed": (False, {"serial": 1, "vetoed_single_core": 1}),
+            "one-job": (False, {"serial": 1}),
         }[case]
+
+    def test_estimated_subsets_is_the_binomial_bound(self):
+        assert plan.estimated_subsets(5, 2) == 10
+        assert plan.estimated_subsets(5, 0) == 1
+        assert plan.estimated_subsets(5, 6) == 0
+        assert plan.estimated_subsets(5, -1) == 0
 
     def test_oracle_inherits_the_python_threshold(self):
         assert (
@@ -278,9 +288,10 @@ class TestModeBitIdentity:
     def test_mutation_interleaved_runs_stay_identical(self, seed, mode):
         """Mutations between planner-driven sweeps never change answers.
 
-        After every mutation the engine patches its worker snapshot —
-        the next batch must still equal a fresh serial engine on the
-        same graph, bit for bit.
+        After every mutation the engine's candidate pool is patched and
+        every sharded dispatch ships a fresh snapshot of it — the next
+        batch must still equal a fresh serial engine on the same graph,
+        bit for bit.
         """
         from repro.ext import IncrementalEntityGraph
         from repro.model import RelationshipTypeId

@@ -372,7 +372,9 @@ class TestSlowReplicaBackpressure:
 
             # Mutate until the slow subscriber's bounded queue
             # overflows.  Every mutate returns promptly — the writer
-            # never blocks on the laggard.
+            # never blocks on the laggard.  The queue bound applies to
+            # every subscriber, so the healthy replica catches up
+            # before the next mutation: only the laggard may overflow.
             kicked_at = None
             with ServeClient(port=writer.port, dataset=DATASET) as client:
                 for index in range(400):
@@ -382,6 +384,11 @@ class TestSlowReplicaBackpressure:
                     if writer_host.replication_stats()["kicked"]:
                         kicked_at = index + 1
                         break
+                    wait_until(
+                        lambda: replica_host.graph.generation
+                        == writer_host.graph.generation,
+                        interval=0.001,
+                    )
                 token = writer_host.graph.generation
             assert kicked_at is not None, "slow subscriber was never kicked"
 
