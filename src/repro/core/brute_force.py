@@ -59,14 +59,16 @@ def brute_force_discover(
         for keys in combinations(key_pool, size.k)
         if distance is None or distance.keys_ok(oracle, keys)
     )
-    # C(K, k) bounds the qualifying count before anything is
-    # materialized: only a batch the planner would shard is listed.
-    if executor is not None and plan.should_shard(
-        plan.estimated_subsets(len(key_pool), size.k), executor.jobs
-    ):
-        return discover_among(
-            context, size, list(qualifying), "brute-force", executor
-        )
+    if executor is not None:
+        # C(K, k) bounds the qualifying count before anything is
+        # materialized: only a batch the planner would shard is listed,
+        # and discover_among records the verdict on the listed count.
+        estimate = plan.estimated_subsets(len(key_pool), size.k)
+        if plan.would_shard(estimate, executor.jobs):
+            return discover_among(
+                context, size, list(qualifying), "brute-force", executor
+            )
+        plan.should_shard(estimate, executor.jobs)  # the scan's serial verdict
 
     # Serial path: stream the combination generator through the batched
     # kernel in bounded chunks (the enumeration can be astronomically

@@ -147,9 +147,10 @@ class ProtocolError(ServeError):
 class ReplicationError(ServeError):
     """Errors raised by the replication tier (``repro.replicate``).
 
-    Covers malformed delta/snapshot records on the wire, fingerprint
-    mismatches after a snapshot bootstrap, and attempts to rewind a
-    mutation log's generation counter.
+    Covers malformed delta records on the wire, a snapshot frame that
+    is not base64 or whose store image fails any
+    :class:`DiskStoreError` check, over-limit stream lines, and
+    attempts to rewind a mutation log's generation counter.
     """
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Any, Deque, Dict, FrozenSet, Iterable, Tuple
 
 from ..exceptions import ReplicationError
 from .ids import RelationshipTypeId, TypeId
@@ -71,15 +71,16 @@ class MutationDelta:
         return not (self.structural or self.full)
 
     # ------------------------------------------------------------------
-    # Wire codec (the replication log ships deltas between processes)
+    # Wire record (the replication log ships deltas between processes)
     # ------------------------------------------------------------------
     def to_record(self) -> Dict[str, Any]:
         """The JSON-ready record of this delta.
 
         Relationship types serialize as ``[name, source_type,
         target_type]`` triples; both type lists are sorted so equal
-        deltas produce byte-identical records (the replication stream
-        is diffable the same way payloads are).
+        deltas produce byte-identical records.  A replica compares the
+        record the writer shipped with its own as plain dicts, so the
+        record is never decoded back into a delta.
         """
         return {
             "key_types": sorted(self.key_types),
@@ -89,46 +90,6 @@ class MutationDelta:
             "structural": self.structural,
             "full": self.full,
         }
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "MutationDelta":
-        """Decode :meth:`to_record` output back into a delta.
-
-        Raises
-        ------
-        ReplicationError
-            For a malformed record (wrong field types or triple shapes).
-        """
-        if not isinstance(record, dict):
-            raise ReplicationError(
-                f"delta record must be an object, got {type(record).__name__}"
-            )
-        key_types = record.get("key_types", [])
-        rel_types = record.get("rel_types", [])
-        if not isinstance(key_types, list) or not all(
-            isinstance(t, str) for t in key_types
-        ):
-            raise ReplicationError("delta 'key_types' must be a string array")
-        if not isinstance(rel_types, list):
-            raise ReplicationError("delta 'rel_types' must be an array")
-        decoded = []
-        for triple in rel_types:
-            if (
-                not isinstance(triple, (list, tuple))
-                or len(triple) != 3
-                or not all(isinstance(part, str) for part in triple)
-            ):
-                raise ReplicationError(
-                    "delta 'rel_types' entries must be "
-                    "[name, source_type, target_type] string triples"
-                )
-            decoded.append(RelationshipTypeId(*triple))
-        return cls(
-            key_types=frozenset(key_types),
-            rel_types=frozenset(decoded),
-            structural=bool(record.get("structural", False)),
-            full=bool(record.get("full", False)),
-        )
 
 
 #: The "rebuild everything" answer for unknown/ancient baselines.
@@ -170,29 +131,32 @@ class MutationLog:
         return self.generation
 
     # ------------------------------------------------------------------
-    # Replication bootstrap
+    # Bulk loads
     # ------------------------------------------------------------------
     @property
     def horizon(self) -> int:
         """Highest generation already compacted out of the window.
 
         A baseline strictly below it can only be answered with
-        :data:`FULL_DELTA`; replication subscribers that far behind must
-        bootstrap from a snapshot instead of the delta stream.
+        :data:`FULL_DELTA`.  A bulk-loaded graph's horizon is its
+        generation: there is no earlier state to patch from.
         """
         return self._horizon
 
     def fast_forward(self, generation: int) -> None:
         """Jump this log to ``generation`` with an empty window.
 
-        The snapshot-bootstrap primitive: a replica that restored a
-        graph snapshot taken at writer generation ``G`` replayed fewer
-        mutations than the writer ever applied (snapshots compact
-        idempotent re-adds), so its log must be *renumbered* to ``G``
-        for the replication stream's generation stamps to line up.
-        After the jump the window is empty and the horizon equals the
-        new generation — exactly the state of a fresh log that never
-        saw the pre-snapshot history.
+        :meth:`~repro.model.entity_graph.EntityGraph.bulk_load` advances
+        the log once by its number of adds, and
+        :meth:`~repro.store.disk.DiskGraphStore.entity_graph` then jumps
+        it to the stored generation.  A store image taken at writer
+        generation ``G`` replays fewer mutations than the writer ever
+        applied (it holds no idempotent re-adds), so a replica
+        bootstrapped from it is *renumbered* to ``G`` here, and the
+        replication stream's generation stamps line up.  After the jump
+        the window is empty and the horizon equals the new generation —
+        exactly the state of a fresh log that never saw the earlier
+        history.
 
         Raises
         ------
@@ -213,36 +177,6 @@ class MutationLog:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def entries_since(self, generation: int) -> List[Tuple[int, MutationDelta]]:
-        """Per-generation deltas after ``generation``, oldest first.
-
-        Unlike :meth:`dirty_since` (which folds the window into one
-        delta), this preserves the per-mutation granularity the
-        replication stream ships.
-
-        Raises
-        ------
-        ReplicationError
-            When ``generation`` predates the retention horizon — the
-            per-entry history no longer exists and the caller must fall
-            back to a snapshot.
-        """
-        if generation < self._horizon:
-            raise ReplicationError(
-                f"generation {generation} predates the retention horizon "
-                f"{self._horizon}; bootstrap from a snapshot instead"
-            )
-        return [
-            (entry_generation, MutationDelta(
-                key_types=frozenset(entry_keys),
-                rel_types=frozenset(entry_rels),
-                structural=entry_structural,
-            ))
-            for entry_generation, entry_keys, entry_rels, entry_structural
-            in self._entries
-            if entry_generation > generation
-        ]
-
     def dirty_since(self, generation: int) -> MutationDelta:
         """Fold every entry after ``generation`` into one delta.
 

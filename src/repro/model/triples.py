@@ -40,8 +40,8 @@ def entity_graph_to_triples(graph: EntityGraph) -> Iterator[Triple]:
     Typing triples come first (so decoding can validate relationship
     endpoints on the fly), then relationship triples.  Entities stream in
     insertion order and each entity's types in the graph's *global*
-    first-seen type order — the same codec
-    :func:`~repro.replicate.snapshot.capture_snapshot` uses — so a
+    first-seen type order — the order the ``.rgs`` store
+    (:func:`~repro.store.disk.encode_store`) records — so a
     decoder replaying the stream reproduces the entity insertion order
     and the first-seen type order the scorers observe, not merely the
     same extensional content.

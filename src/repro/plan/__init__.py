@@ -23,6 +23,7 @@ from .planner import (
     should_shard,
     usable_cpus,
     use_mode,
+    would_shard,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "should_shard",
     "usable_cpus",
     "use_mode",
+    "would_shard",
 ]

@@ -39,7 +39,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .. import config, kernel
 from ..exceptions import PlanError
@@ -138,33 +138,40 @@ def shard_threshold() -> int:
     return kernel.active_backend().shard_threshold
 
 
-def _count(*keys: str) -> None:
-    with _LOCK:
-        for key in keys:
-            _DECISIONS[key] += 1
+def _verdict(subset_count: int, jobs: int) -> Tuple[str, ...]:
+    """The decision counters one verdict bumps; the first names it."""
+    mode = plan_mode()
+    if mode == "serial" or jobs <= 1 or subset_count <= 1:
+        return ("serial",)
+    if mode == "sharded":
+        return ("sharded",)
+    if usable_cpus() <= 1:
+        return ("serial", "vetoed_single_core")
+    return ("sharded" if subset_count >= shard_threshold() else "serial",)
+
+
+def would_shard(subset_count: int, jobs: int) -> bool:
+    """:func:`should_shard`'s answer, without recording a decision.
+
+    For guards that only look ahead, such as brute force deciding
+    whether to list its subsets before the batch is dispatched.
+    """
+    return _verdict(subset_count, jobs)[0] == "sharded"
 
 
 def should_shard(subset_count: int, jobs: int) -> bool:
     """Whether ``subset_count`` subsets justify ``jobs`` workers.
 
     The answer depends on the mode (see the module docstring); the
-    result is recorded in the decision counters either way.  Serial
-    and sharded execution are bit-identical, so this only moves wall
-    time.
+    result is recorded in the decision counters either way, so call it
+    once per dispatched batch.  Serial and sharded execution are
+    bit-identical, so this only moves wall time.
     """
-    mode = plan_mode()
-    if mode == "serial" or jobs <= 1 or subset_count <= 1:
-        _count("serial")
-        return False
-    if mode == "sharded":
-        _count("sharded")
-        return True
-    if usable_cpus() <= 1:
-        _count("serial", "vetoed_single_core")
-        return False
-    verdict = subset_count >= shard_threshold()
-    _count("sharded" if verdict else "serial")
-    return verdict
+    keys = _verdict(subset_count, jobs)
+    with _LOCK:
+        for key in keys:
+            _DECISIONS[key] += 1
+    return keys[0] == "sharded"
 
 
 def decision_counts() -> Dict[str, int]:

@@ -9,7 +9,8 @@ all speaking the existing :mod:`repro.serve` protocol:
   host that applies mutations; each mutation's wire params and dirty
   :class:`~repro.model.mutation_log.MutationDelta` are retained in a
   bounded window and pushed to subscribers via the ``subscribe``
-  streaming op (snapshot bootstrap for subscribers behind the window);
+  streaming op (subscribers behind the window bootstrap from the
+  graph's ``.rgs`` store image, :func:`repro.store.encode_store`);
 * **replica** (:class:`ReplicaHost` + :class:`ReplicaService`) — warm
   read-only engines that apply streamed deltas in generation order
   (buffering reordered frames, skipping reconnect duplicates) and honor
@@ -28,7 +29,6 @@ from-scratch serial oracle at every generation.  See
 
 from .replica import ReplicaHost, ReplicaService
 from .router import RouterService, build_ring, preference_list
-from .snapshot import capture_snapshot, restore_snapshot
 from .writer import WriterHost, WriterService
 
 __all__ = [
@@ -38,7 +38,5 @@ __all__ = [
     "WriterHost",
     "WriterService",
     "build_ring",
-    "capture_snapshot",
     "preference_list",
-    "restore_snapshot",
 ]

@@ -24,16 +24,19 @@ reconnect) are skipped idempotently.
 from __future__ import annotations
 
 import asyncio
+import base64
 import contextlib
+import logging
 from typing import Any, Dict, Optional, Tuple
 
-from ..exceptions import ProtocolError, ReplicationError
+from ..exceptions import DiskStoreError, ProtocolError, ReplicationError
 from ..ext.incremental import IncrementalEntityGraph
-from ..model.ids import RelationshipTypeId
-from ..serve.host import EngineHost, parse_mutation
+from ..serve.host import EngineHost, apply_mutation, parse_mutation
 from ..serve.protocol import decode_frame, encode_frame
 from ..serve.service import PreviewService
-from .snapshot import restore_snapshot
+from ..store.disk import DiskGraphStore
+
+logger = logging.getLogger(__name__)
 
 
 class ReplicaHost(EngineHost):
@@ -109,21 +112,8 @@ class ReplicaHost(EngineHost):
 
         def apply() -> Tuple[int, Dict[str, Any]]:
             before = self.graph.generation
-            if kind == "entity":
-                entity, types = fields
-                self.graph.add_entity(entity, types)
-            else:
-                source, target, rel_name, source_type, target_type = fields
-                self.graph.add_relationship(
-                    source,
-                    target,
-                    RelationshipTypeId(
-                        name=rel_name,
-                        source_type=source_type,
-                        target_type=target_type,
-                    ),
-                )
-            return self.graph.generation, self.graph.dirty_since(before).to_record()
+            generation = apply_mutation(self.graph, kind, fields)
+            return generation, self.graph.dirty_since(before).to_record()
 
         async with self._lock.write_locked():
             generation, dirty = await self._on_worker(apply)
@@ -145,24 +135,39 @@ class ReplicaHost(EngineHost):
         async with condition:
             condition.notify_all()
 
-    async def bootstrap(self, snapshot: Dict[str, Any]) -> None:
-        """Replace this host's graph wholesale from a snapshot record.
+    async def bootstrap(self, snapshot: str) -> None:
+        """Replace this host's graph wholesale from a snapshot frame.
 
         The snapshot-bootstrap path for a replica too far behind to
-        catch up delta-by-delta: the restored graph (fingerprint
-        verified, log fast-forwarded to the snapshot generation)
-        replaces the live one, the engine is rebuilt against it, and
-        every cache is dropped.
+        catch up delta-by-delta.  ``snapshot`` is the base64 text of the
+        writer's :func:`~repro.store.disk.encode_store` image.  It is
+        materialized by :meth:`~repro.store.disk.DiskGraphStore.entity_graph`
+        with every store check (CRC-32, section bounds, fingerprint,
+        stored generation); the restored graph, its log at the writer's
+        generation, replaces the live one, the engine is rebuilt against
+        it, and every cache is dropped.  A damaged snapshot changes
+        nothing.
 
         Raises
         ------
         ReplicationError
-            From :func:`~repro.replicate.snapshot.restore_snapshot`,
-            or when the snapshot is older than the replica (bootstrap
-            never rewinds a graph).
+            For text that is not base64, for any
+            :class:`~repro.exceptions.DiskStoreError` of the image, or
+            when the snapshot is older than the replica (bootstrap never
+            rewinds a graph).
         """
         def rebuild() -> int:
-            restored = restore_snapshot(snapshot)
+            try:
+                image = base64.b64decode(snapshot, validate=True)
+            except ValueError as exc:
+                raise ReplicationError(
+                    f"snapshot frame is not base64: {exc}"
+                ) from exc
+            try:
+                with DiskGraphStore.from_bytes(image, "snapshot frame") as store:
+                    restored = store.entity_graph(verify=True)
+            except DiskStoreError as exc:
+                raise ReplicationError(f"damaged snapshot: {exc}") from exc
             if restored.generation < self.graph.generation:
                 raise ReplicationError(
                     f"snapshot at generation {restored.generation} is older "
@@ -283,7 +288,8 @@ class ReplicaService(PreviewService):
     RECONNECT_SECONDS = 0.2
 
     #: Stream buffer limit for the upstream connection — generous,
-    #: because one line can carry a whole graph snapshot.
+    #: because one line can carry a whole graph snapshot.  A longer
+    #: line resyncs the subscription.
     STREAM_LIMIT = 1 << 26
 
     def __init__(self, hosts, upstream: Tuple[str, int], **kwargs) -> None:
@@ -317,7 +323,9 @@ class ReplicaService(PreviewService):
         reconnects.  Incoming lines are dispatched by *shape* (the
         ``stream`` key vs the ``ok`` acknowledgement), so a transport
         that delivers the acknowledgement late never desynchronizes
-        the loop.
+        the loop.  Every resync is counted and logged with its cause; a
+        line longer than :attr:`STREAM_LIMIT` resyncs like a broken
+        connection instead of ending the task.
         """
         first = True
         while True:
@@ -331,6 +339,7 @@ class ReplicaService(PreviewService):
                 )
             except OSError:
                 continue
+            cause = "the writer closed the stream"
             try:
                 writer.write(
                     encode_frame(
@@ -345,23 +354,37 @@ class ReplicaService(PreviewService):
                 )
                 await writer.drain()
                 while True:
-                    line = await reader.readline()
+                    try:
+                        line = await reader.readline()
+                    except ValueError as exc:
+                        # StreamReader's answer to a line over the limit.
+                        raise ReplicationError(
+                            f"an upstream line exceeds the "
+                            f"{self.STREAM_LIMIT}-byte stream limit"
+                        ) from exc
                     if not line:
                         break  # writer went away: resync
                     frame = decode_frame(line, max_frame=self.STREAM_LIMIT)
                     if await self._consume_frame(replica, frame):
-                        break  # kicked: resync
+                        cause = "the writer kicked this subscriber"
+                        break
             except (
                 ConnectionError,
                 asyncio.IncompleteReadError,
                 ProtocolError,
                 ReplicationError,
-            ):
-                pass  # fall through to resync
+            ) as exc:
+                cause = f"{type(exc).__name__}: {exc}"
             finally:
                 writer.close()
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
+            logger.warning(
+                "replica of %r resyncs from generation %d: %s",
+                name,
+                replica.graph.generation,
+                cause,
+            )
 
     async def _consume_frame(
         self, replica: ReplicaHost, frame: Dict[str, Any]
@@ -383,9 +406,9 @@ class ReplicaService(PreviewService):
             return False
         if stream == "snapshot":
             snapshot = frame.get("snapshot")
-            if not isinstance(snapshot, dict):
+            if not isinstance(snapshot, str):
                 raise ReplicationError(
-                    "snapshot frame without a 'snapshot' object"
+                    "snapshot frame without a base64 'snapshot' string"
                 )
             await replica.bootstrap(snapshot)
             return False

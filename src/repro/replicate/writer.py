@@ -6,9 +6,10 @@ per-mutation replication entries (generation, wire params, dirty-type
 delta) and fans each new entry out to every attached subscriber queue.
 A :class:`WriterService` is a :class:`~repro.serve.PreviewService`
 whose ``subscribe`` op upgrades the connection to a server-push stream:
-one acknowledgement response, an optional snapshot record (when the
-subscriber's baseline fell behind the retained window), the backlog of
-retained deltas, then live deltas as mutations land.
+one acknowledgement response, an optional snapshot frame (the graph's
+``.rgs`` store image, when the subscriber's baseline fell behind the
+retained window), the backlog of retained deltas, then live deltas as
+mutations land.
 
 Backpressure is Redis-style: a subscriber whose bounded queue overflows
 is *kicked* (it receives a ``lagging`` stream frame and its connection
@@ -19,16 +20,16 @@ replica reconnects and resyncs, from the delta backlog or a snapshot.
 from __future__ import annotations
 
 import asyncio
+import base64
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from .. import config
 from ..exceptions import ProtocolError
-from ..model.ids import RelationshipTypeId
-from ..serve.host import EngineHost, parse_mutation
+from ..serve.host import EngineHost, apply_mutation, parse_mutation
 from ..serve.protocol import encode_frame, error_response, ok_response
 from ..serve.service import PreviewService
-from .snapshot import capture_snapshot
+from ..store.disk import encode_store
 
 
 class _Subscriber:
@@ -103,21 +104,8 @@ class WriterHost(EngineHost):
 
         def apply():
             before = self.graph.generation
-            if kind == "entity":
-                entity, types = fields
-                self.graph.add_entity(entity, types)
-            else:
-                source, target, rel_name, source_type, target_type = fields
-                self.graph.add_relationship(
-                    source,
-                    target,
-                    RelationshipTypeId(
-                        name=rel_name,
-                        source_type=source_type,
-                        target_type=target_type,
-                    ),
-                )
-            return self.graph.generation, self.graph.dirty_since(before).to_record()
+            generation = apply_mutation(self.graph, kind, fields)
+            return generation, self.graph.dirty_since(before).to_record()
 
         async with self._lock.write_locked():
             generation, dirty = await self._on_worker(apply)
@@ -278,10 +266,12 @@ class WriterService(PreviewService):
                 needs_snapshot = baseline < host.replication_horizon
                 snapshot = None
                 if needs_snapshot:
+                    # The store image, base64 inside the JSON line: the
+                    # stream is newline-framed end to end.
                     snapshot = await host._on_worker(
-                        lambda: capture_snapshot(
-                            host.graph.entity_graph, writer_generation
-                        )
+                        lambda: base64.b64encode(
+                            encode_store(host.graph.entity_graph)
+                        ).decode("ascii")
                     )
                 backlog = host.backlog_since(
                     writer_generation if needs_snapshot else baseline

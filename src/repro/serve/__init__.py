@@ -29,7 +29,13 @@ layer sits in the stack.
 
 from .client import ServeClient
 from .coalescer import RequestCoalescer
-from .host import EngineHost, parse_mutation, parse_query, parse_sweep
+from .host import (
+    EngineHost,
+    apply_mutation,
+    parse_mutation,
+    parse_query,
+    parse_sweep,
+)
 from .locks import ReadWriteLock
 from .protocol import (
     ERROR_CODES,
@@ -56,6 +62,7 @@ __all__ = [
     "Request",
     "RequestCoalescer",
     "ServeClient",
+    "apply_mutation",
     "decode_frame",
     "encode_frame",
     "error_response",

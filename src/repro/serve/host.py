@@ -161,6 +161,35 @@ def parse_mutation(params: Dict[str, Any]):
     )
 
 
+def apply_mutation(graph, kind: str, fields) -> int:
+    """Apply one :func:`parse_mutation` result to ``graph``; new generation.
+
+    ``graph`` is an :class:`EntityGraph` or an
+    :class:`IncrementalEntityGraph` — both expose the same mutator pair.
+    The one place a wire mutation reaches a graph: the service, the
+    replication writer and replicas, and the workload replayers all
+    apply mutations through it.
+
+    Raises
+    ------
+    ReproError
+        Model/schema violations from the graph.
+    """
+    if kind == "entity":
+        entity, types = fields
+        graph.add_entity(entity, types)
+    else:
+        source, target, name, source_type, target_type = fields
+        graph.add_relationship(
+            source,
+            target,
+            RelationshipTypeId(
+                name=name, source_type=source_type, target_type=target_type
+            ),
+        )
+    return graph.generation
+
+
 class EngineHost:
     """One served dataset: a live graph, its warm engine, and their locks.
 
@@ -405,24 +434,10 @@ class EngineHost:
             ``invalid-query`` by the service).
         """
         kind, fields = parse_mutation(params)
-
-        def apply() -> int:
-            if kind == "entity":
-                entity, types = fields
-                self.graph.add_entity(entity, types)
-            else:
-                source, target, name, source_type, target_type = fields
-                self.graph.add_relationship(
-                    source,
-                    target,
-                    RelationshipTypeId(
-                        name=name, source_type=source_type, target_type=target_type
-                    ),
-                )
-            return self.graph.generation
-
         async with self._lock.write_locked():
-            generation = await self._on_worker(apply)
+            generation = await self._on_worker(
+                lambda: apply_mutation(self.graph, kind, fields)
+            )
             self._mutations += 1
             # Every cached payload is keyed by an older generation the
             # monotonic counter will never serve again.

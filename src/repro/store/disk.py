@@ -2,12 +2,15 @@
 
 The paper's pipeline imports the Freebase dump into a database before
 deriving the schema graph and scores; this module is that import made
-durable.  :func:`build_store` serializes an
-:class:`~repro.model.entity_graph.EntityGraph` into a single binary
-file and :func:`open_store` maps it back with a fixed-cost open —
-validating the header, never walking the data — so serve hosts,
-replicas and the workload oracle cold-start in O(header) instead of
-regenerating and rebuilding O(entities) of state.
+durable.  :func:`encode_store` serializes an
+:class:`~repro.model.entity_graph.EntityGraph` into one binary image,
+:func:`build_store` writes that image to a file, and :func:`open_store`
+maps it back with a fixed-cost open — validating the header, never
+walking the data — so serve hosts and the workload oracle cold-start in
+O(header) instead of regenerating and rebuilding O(entities) of state.
+It is the repo's only whole-graph codec: a replica too far behind the
+writer bootstraps from the same image, shipped in memory and opened by
+:meth:`DiskGraphStore.from_bytes`.
 
 File format (version 2, little-endian)
 --------------------------------------
@@ -23,9 +26,10 @@ a table of ``(offset, length)`` pairs, one per section in
   ``entity_ids``, ``entity_type_offsets``/``entity_type_indexes``,
   ``reltype_table``, ``relationships``): entities in insertion order,
   types in global first-seen order, per-entity type indexes sorted by
-  that global order, relationship instances in insertion order — the
-  exact codec :func:`~repro.replicate.snapshot.capture_snapshot` uses,
-  so the materialized graph is bit-identical to the source and its
+  that global order, relationship instances in insertion order — so
+  the materialized graph is bit-identical to the source (a
+  multi-new-type entity's types occupy consecutive global positions in
+  caller order, so the sort keeps their relative order) and its
   fingerprint provably matches the header.
 
 The file holds only what :meth:`DiskGraphStore.entity_graph` reads.
@@ -121,21 +125,15 @@ def _u64_view(buffer: memoryview, offset: int, length: int):
     return window.cast("Q")
 
 
-def build_store(graph: EntityGraph, path: PathLike) -> int:
-    """Serialize ``graph`` into a binary store file; returns bytes written.
+def encode_store(graph: EntityGraph) -> bytes:
+    """The complete store image of ``graph``, as bytes.
 
     The graph's insertion orders, first-seen type order and
     ``graph_fingerprint`` are recorded so :meth:`DiskGraphStore.entity_graph`
     reproduces the graph bit-identically (same orders, same generation,
-    verified fingerprint), and the header seals the whole file with a
-    CRC-32.
-
-    Raises
-    ------
-    PersistenceError
-        Never — write failures surface as :class:`DiskStoreError`.
-    DiskStoreError
-        When the file cannot be written.
+    verified fingerprint), and the header seals the whole image with a
+    CRC-32.  :func:`build_store` writes this image to a file; a writer
+    ships it base64-encoded to bootstrap a replica.
     """
     # Lazy: repro.datasets imports repro.store at module scope, so the
     # reverse edge must resolve at call time.
@@ -232,32 +230,44 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
     for name in write_order:
         checksum = zlib.crc32(payloads[name], checksum)
     _CHECKSUM.pack_into(header, _CHECKSUM_OFFSET, checksum)
+    return b"".join([header, *(payloads[name] for name in write_order)])
+
+
+def build_store(graph: EntityGraph, path: PathLike) -> int:
+    """Write :func:`encode_store`'s image of ``graph`` to ``path``.
+
+    Returns the bytes written.
+
+    Raises
+    ------
+    DiskStoreError
+        When the file cannot be written.
+    """
+    image = encode_store(graph)
     try:
         with open(path, "wb") as handle:
-            handle.write(header)
-            for name in write_order:
-                handle.write(payloads[name])
+            handle.write(image)
     except OSError as exc:
         raise DiskStoreError(f"cannot write store file {path!s}: {exc}") from exc
-    return total_size
+    return len(image)
 
 
 class DiskGraphStore:
-    """A read-only, mmap-backed view over one binary store file.
+    """A read-only view over one store image: an mmap-ed file or bytes.
 
     Opening is O(header): the magic, version, sizes, section bounds and
     fingerprint format are validated, and *nothing else is read* until
     :meth:`entity_graph` (or the dictionary lookup behind :attr:`name`)
-    touches the mapped sections (the OS pages them in on demand).  Use
-    as a context manager, or call :meth:`close`.
+    touches the sections (for a file, the OS pages them in on demand).
+    Use as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, path: PathLike) -> None:
         self._path = str(path)
+        self._mmap = None
         try:
             with open(path, "rb") as handle:
-                file_size = os.fstat(handle.fileno()).st_size
-                if file_size == 0:
+                if os.fstat(handle.fileno()).st_size == 0:
                     raise DiskStoreError(f"{self._path}: empty store file")
                 self._mmap = mmap.mmap(
                     handle.fileno(), 0, access=mmap.ACCESS_READ
@@ -266,9 +276,30 @@ class DiskGraphStore:
             raise DiskStoreError(
                 f"cannot open store file {self._path}: {exc}"
             ) from exc
-        self._view = memoryview(self._mmap)
+        self._attach(memoryview(self._mmap))
+
+    @classmethod
+    def from_bytes(cls, image: bytes, label: str = "<store image>") -> "DiskGraphStore":
+        """Open an in-memory store image, as :func:`encode_store` returns it.
+
+        ``label`` stands in for the file path in diagnostics.  Every
+        check a file gets applies unchanged.
+
+        Raises
+        ------
+        DiskStoreError
+            As for :func:`open_store`.
+        """
+        store = cls.__new__(cls)
+        store._path = label
+        store._mmap = None
+        store._attach(memoryview(image))
+        return store
+
+    def _attach(self, view: memoryview) -> None:
+        self._view = view
         try:
-            self._read_header(file_size)
+            self._read_header(len(view))
         except DiskStoreError:
             self.close()
             raise
@@ -450,7 +481,7 @@ class DiskGraphStore:
 
     @property
     def path(self) -> str:
-        """The store file this view maps."""
+        """The store file this view maps, or an in-memory image's label."""
         return self._path
 
     def describe(self) -> Dict[str, object]:
@@ -487,9 +518,9 @@ class DiskGraphStore:
         Entities are replayed in insertion order with their types in
         global first-seen order, relationship instances in insertion
         order, and the mutation log is fast-forwarded to the stored
-        generation — exactly the
-        :func:`~repro.replicate.snapshot.restore_snapshot` contract.
-        The whole file is first checked against the header's CRC-32.
+        generation, so stream deltas stamped with later generations
+        line up after a replica bootstrap.
+        The whole image is first checked against the header's CRC-32.
         The dictionary and each section are then decoded once, and one
         :meth:`~repro.model.entity_graph.EntityGraph.bulk_load` replays
         them with every per-entity and per-edge check.  With ``verify``

@@ -78,8 +78,7 @@ from ..exceptions import (
     WorkloadError,
 )
 from ..ext.incremental import IncrementalEntityGraph
-from ..model.ids import RelationshipTypeId
-from ..serve.host import parse_mutation, parse_query, parse_sweep
+from ..serve.host import apply_mutation, parse_mutation, parse_query, parse_sweep
 from .trace import TraceOp, WorkloadTrace, payload_digest
 
 #: The five execution paths the differential oracle compares.
@@ -158,28 +157,6 @@ def _starting_graph(trace: WorkloadTrace, store: Optional[str] = None):
     return graph
 
 
-def _apply_mutation(graph, params: Dict[str, Any]) -> int:
-    """Apply one serve-shaped mutation to ``graph``; new generation.
-
-    ``graph`` is an :class:`EntityGraph` or an
-    :class:`IncrementalEntityGraph` — both expose the same mutator pair.
-    """
-    kind, fields = parse_mutation(params)
-    if kind == "entity":
-        entity, types = fields
-        graph.add_entity(entity, types)
-    else:
-        source, target, name, source_type, target_type = fields
-        graph.add_relationship(
-            source,
-            target,
-            RelationshipTypeId(
-                name=name, source_type=source_type, target_type=target_type
-            ),
-        )
-    return graph.generation
-
-
 class _EngineAccounting:
     """Per-op ``cache_info()`` sanity checks for engine-backed paths."""
 
@@ -248,7 +225,7 @@ class _SerialReplay:
 
     def apply(self, op: TraceOp) -> Optional[Dict[str, Any]]:
         if op.op == "mutate":
-            generation = _apply_mutation(self._graph, op.params)
+            generation = apply_mutation(self._graph, *parse_mutation(op.params))
             return {"kind": op.params.get("kind"), "generation": generation}
         if op.op == "preview":
             query = parse_query(op.params)
@@ -295,7 +272,7 @@ class _IncrementalReplay:
 
     def apply(self, op: TraceOp) -> Optional[Dict[str, Any]]:
         if op.op == "mutate":
-            generation = _apply_mutation(self._graph, op.params)
+            generation = apply_mutation(self._graph, *parse_mutation(op.params))
             self._accounting.check(self._engine, self._graph, queries_answered=0)
             return {"kind": op.params.get("kind"), "generation": generation}
         if op.op == "preview":

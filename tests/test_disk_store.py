@@ -6,9 +6,10 @@ Two properties carry the module:
   order, first-seen type order and the header fingerprint, so scorers
   cannot tell it from the source graph;
 * **loud corruption** — every damaged-file shape raises
-  ``DiskStoreError`` (mirroring the snapshot corruption suite in
-  ``tests/test_replicate.py``), never a wrong graph; a seeded fuzz
-  flips single bits and truncates at section boundaries to check it.
+  ``DiskStoreError``, never a wrong graph, whether the image is a file
+  or in memory (a replica's snapshot bootstrap, ``tests/test_replicate.py``);
+  a seeded fuzz flips single bits and truncates at section boundaries
+  to check it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from repro.datasets.loader import (
     save_domain,
 )
 from repro.exceptions import DiskStoreError, StoreError
-from repro.store import STORE_EXTENSION, build_store, open_store
+from repro.store import STORE_EXTENSION, build_store, encode_store, open_store
 from repro.store import disk
-from repro.store.disk import SECTION_NAMES, VERSION
+from repro.store.disk import SECTION_NAMES, VERSION, DiskGraphStore
 
 import importlib.util
 from pathlib import Path
@@ -135,6 +136,24 @@ class TestRoundTrip:
         save_domain(graph, path)
         clone = load_domain_file(path)
         assert clone.name == "fig1"  # stored name wins over the default
+        assert graph_fingerprint(clone) == graph_fingerprint(graph)
+
+    def test_encode_store_is_the_file_image(self, tmp_path):
+        graph = build_fig1_graph()
+        path = tmp_path / f"g{STORE_EXTENSION}"
+        build_store(graph, path)
+        assert encode_store(graph) == path.read_bytes()
+
+    def test_in_memory_image_materializes_like_the_file(self, domain_pair):
+        graph, path = domain_pair
+        with DiskGraphStore.from_bytes(path.read_bytes(), "<image>") as store:
+            assert store.path == "<image>"
+            assert store.describe()["file_bytes"] == path.stat().st_size
+            clone = store.entity_graph()
+        assert list(clone.entities()) == list(graph.entities())
+        assert clone.entity_types() == graph.entity_types()
+        assert list(clone.relationships()) == list(graph.relationships())
+        assert clone.generation == graph.generation
         assert graph_fingerprint(clone) == graph_fingerprint(graph)
 
     def test_mutations_continue_from_stored_generation(self, fig1_store):
@@ -266,6 +285,18 @@ class TestCorruption:
         _rewrite(fig1_store, corrupt)
         with pytest.raises(DiskStoreError, match=diagnostic):
             open_store(fig1_store)
+
+    @pytest.mark.parametrize(
+        "corrupt, diagnostic",
+        _DAMAGED_HEADERS,
+        ids=[corrupt.__name__.lstrip("_") for corrupt, _ in _DAMAGED_HEADERS],
+    )
+    def test_damaged_images_fail_in_memory(self, corrupt, diagnostic):
+        """An in-memory image gets every check a file gets."""
+        image = bytearray(encode_store(build_fig1_graph()))
+        corrupt(image)
+        with pytest.raises(DiskStoreError, match=f"^<image>: .*{diagnostic}"):
+            DiskGraphStore.from_bytes(bytes(image), "<image>")
 
     def test_empty_and_missing_files_raise(self, tmp_path):
         empty = tmp_path / f"empty{STORE_EXTENSION}"

@@ -227,15 +227,39 @@ class TestShardBoundaries:
                 context, size, distance, executor=executor
             )
             after = plan.decision_counts()
-        # One verdict listed the estimate's C(3, 2) = 3 subsets; the
-        # listed batch of 0 or 1 was then scored inline.
-        assert after["sharded"] - before["sharded"] == 1
+        # The look-ahead on the estimate's C(3, 2) = 3 subsets records
+        # nothing; the listed batch of 0 or 1 records one serial verdict.
+        assert after["sharded"] - before["sharded"] == 0
         assert after["serial"] - before["serial"] == 1
         assert sharded == serial
         if qualifying == 0:
             assert serial is None
         else:
             assert serial.candidates_examined == 1
+
+    @pytest.mark.parametrize("mode", ["sharded", "serial"])
+    def test_brute_force_records_one_verdict_per_batch(self, fig1_context, mode):
+        """Brute force records exactly one planner verdict per batch.
+
+        Forced sharded, the qualifying subsets are listed and the one
+        batch crosses the pool; forced serial, they stream through the
+        inline scan.  Either way one verdict, the mode's, is recorded.
+        """
+        size = SizeConstraint(k=2, n=5)
+        serial = brute_force_discover(fig1_context, size)
+        assert serial.candidates_examined >= 2
+        with plan.use_mode(mode), ShardedExecutor(2) as executor:
+            before = plan.decision_counts()
+            answer = brute_force_discover(fig1_context, size, executor=executor)
+            after = plan.decision_counts()
+            pooled = executor._pool is not None
+        assert {key: after[key] - before[key] for key in after} == {
+            "serial": int(mode == "serial"),
+            "sharded": int(mode == "sharded"),
+            "vetoed_single_core": 0,
+        }
+        assert pooled == (mode == "sharded")
+        assert answer == serial
 
     def test_one_shard_all_infeasible_other_feasible(self):
         """A shard whose every subset is infeasible reduces to the other's."""

@@ -113,6 +113,15 @@ class TestPlannerDecisions:
             "one-job": (False, {"serial": 1}),
         }[case]
 
+    @pytest.mark.parametrize("mode", plan.PLAN_MODES)
+    def test_would_shard_looks_ahead_without_recording(self, mode, many_cores):
+        """The look-ahead verdict is should_shard's, with no decision."""
+        with plan.use_mode(mode):
+            for subsets, jobs in [(2, 2), (1, 2), (10**6, 8), (100, 1)]:
+                ahead, delta = counted(lambda: plan.would_shard(subsets, jobs))
+                assert delta == {}
+                assert ahead == plan.should_shard(subsets, jobs)
+
     def test_estimated_subsets_is_the_binomial_bound(self):
         assert plan.estimated_subsets(5, 2) == 10
         assert plan.estimated_subsets(5, 0) == 1

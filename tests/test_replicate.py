@@ -1,9 +1,9 @@
 """The replication tier: codecs, ring, tokens, and the conformance property.
 
 Unit coverage for the pieces of :mod:`repro.replicate` — the
-``MutationDelta`` wire codec, the replication window of the mutation
-log, snapshot capture/restore, the consistent-hash ring — plus two
-behavioural suites over real sockets:
+``MutationDelta`` wire record, the mutation log's fast-forward, the
+snapshot bootstrap from the ``.rgs`` store image, the consistent-hash
+ring — plus two behavioural suites over real sockets:
 
 * the stale-read regression the ``affinity`` field exists to catch: a
   replica that never applies deltas serves pre-mutation payloads to
@@ -17,8 +17,13 @@ behavioural suites over real sockets:
 
 from __future__ import annotations
 
+import asyncio
+import base64
 import importlib.util
 import json
+import socket
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -43,13 +48,21 @@ from repro.model import RelationshipTypeId, TypeId
 from repro.model.mutation_log import MutationDelta
 from repro.replicate import (
     ReplicaHost,
+    ReplicaService,
+    RouterService,
     WriterHost,
+    WriterService,
     build_ring,
-    capture_snapshot,
     preference_list,
-    restore_snapshot,
 )
-from repro.serve import PreviewService, ServeClient, run_in_background
+from repro.serve import (
+    PreviewService,
+    ServeClient,
+    apply_mutation,
+    encode_frame,
+    run_in_background,
+)
+from repro.store import disk, encode_store
 from repro.workload import ScenarioSpec, generate_trace, run_conformance
 from repro.workload.trace import TraceOp
 
@@ -60,60 +73,63 @@ def canonical(payload) -> str:
 
 
 # ----------------------------------------------------------------------
-# MutationDelta wire codec
+# MutationDelta wire record
 # ----------------------------------------------------------------------
 class TestDeltaCodec:
-    def roundtrip(self, delta: MutationDelta) -> MutationDelta:
+    """The shipped ``dirty`` record is compared as a plain dict.
+
+    A replica checks the writer's record against its own
+    ``to_record()`` with ``==``, so equal deltas must give equal,
+    canonical-JSON-safe records with sorted type lists.
+    """
+
+    def roundtrip(self, delta: MutationDelta) -> dict:
         record = delta.to_record()
         # The record must be wire-safe: canonical JSON round-trippable.
         assert json.loads(canonical(record)) == record
-        return MutationDelta.from_record(record)
+        return record
 
     def test_entity_delta_roundtrip(self):
         delta = MutationDelta(
-            key_types=frozenset({TypeId("ARCHITECT"), TypeId("PERSON")}),
+            key_types=frozenset({TypeId("PERSON"), TypeId("ARCHITECT")}),
             rel_types=frozenset(),
             structural=False,
         )
-        assert self.roundtrip(delta) == delta
+        assert self.roundtrip(delta) == {
+            "key_types": ["ARCHITECT", "PERSON"],
+            "rel_types": [],
+            "structural": False,
+            "full": False,
+        }
 
     def test_relationship_delta_roundtrip(self):
+        employs = RelationshipTypeId(
+            name="Employs",
+            source_type=TypeId("FIRM"),
+            target_type=TypeId("ARCHITECT"),
+        )
+        designed = RelationshipTypeId(
+            name="Designed",
+            source_type=TypeId("ARCHITECT"),
+            target_type=TypeId("BUILDING"),
+        )
         delta = MutationDelta(
             key_types=frozenset({TypeId("FIRM")}),
-            rel_types=frozenset(
-                {
-                    RelationshipTypeId(
-                        name="Employs",
-                        source_type=TypeId("FIRM"),
-                        target_type=TypeId("ARCHITECT"),
-                    )
-                }
-            ),
+            rel_types=frozenset({employs, designed}),
             structural=True,
         )
-        assert self.roundtrip(delta) == delta
+        record = self.roundtrip(delta)
+        assert record["rel_types"] == [
+            ["Designed", "ARCHITECT", "BUILDING"],
+            ["Employs", "FIRM", "ARCHITECT"],
+        ]
+        assert record["structural"] is True
 
     def test_full_delta_roundtrip(self):
         delta = MutationDelta(
             key_types=frozenset(), rel_types=frozenset(), full=True
         )
-        restored = self.roundtrip(delta)
-        assert restored.full is True
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            "not a dict",
-            {"key_types": "FIRM", "rel_types": [], "structural": False},
-            {"key_types": [], "rel_types": "Employs", "structural": False},
-            {"key_types": [], "rel_types": [["only-two", "items"]], "structural": False},
-            {"key_types": [], "rel_types": [[1, 2, 3]], "structural": False},
-            {"key_types": [3], "rel_types": [], "structural": False},
-        ],
-    )
-    def test_malformed_records_raise(self, record):
-        with pytest.raises(ReplicationError):
-            MutationDelta.from_record(record)
+        assert self.roundtrip(delta)["full"] is True
 
 
 # ----------------------------------------------------------------------
@@ -122,19 +138,6 @@ class TestDeltaCodec:
 class TestMutationLogWindow:
     def graph(self) -> IncrementalEntityGraph:
         return IncrementalEntityGraph(base=build_fig1_graph())
-
-    def test_entries_since_returns_oldest_first(self):
-        graph = self.graph()
-        start = graph.generation
-        graph.add_entity("LOG E1", ["ARCHITECT"])
-        graph.add_entity("LOG E2", ["ARCHITECT"])
-        entries = graph.mutation_log.entries_since(start)
-        assert [generation for generation, _ in entries] == [start + 1, start + 2]
-
-    def test_entries_since_below_horizon_raises(self):
-        graph = self.graph()
-        with pytest.raises(ReplicationError):
-            graph.mutation_log.entries_since(graph.mutation_log.horizon - 1)
 
     def test_fast_forward_never_rewinds(self):
         graph = self.graph()
@@ -148,10 +151,56 @@ class TestMutationLogWindow:
 
 
 # ----------------------------------------------------------------------
-# Snapshot capture / restore
+# Snapshot bootstrap from the store image
 # ----------------------------------------------------------------------
+def encoded(image) -> str:
+    """A snapshot frame's payload: the base64 text of a store image."""
+    return base64.b64encode(bytes(image)).decode("ascii")
+
+
+def snapshot_text(graph) -> str:
+    """What a writer ships for ``graph``: its ``.rgs`` image, encoded."""
+    return encoded(encode_store(graph))
+
+
+def reseal(image: bytearray) -> bytearray:
+    """Recompute the header checksum, as a drifted encoder would."""
+    at = disk._CHECKSUM_OFFSET
+    end = at + disk._CHECKSUM.size
+    checksum = zlib.crc32(bytes(image[:at]) + bytes(image[end:]))
+    disk._CHECKSUM.pack_into(image, at, checksum)
+    return image
+
+
+def with_field(image: bytes, fmt: str, offset: int, value) -> bytearray:
+    damaged = bytearray(image)
+    struct.pack_into(fmt, damaged, offset, value)
+    return damaged
+
+
+#: Header byte offsets: magic, version, header size, total size, then
+#: the generation.
+_VERSION_AT = 8
+_GENERATION_AT = 24
+_FINGERPRINT_AT = disk._HEADER.size - 72
+
+
+def bootstrap_into(graph, snapshot):
+    """Bootstrap a replica of ``graph`` from ``snapshot``; its live graph.
+
+    Runs the replica's whole bootstrap (worker thread, write lock)
+    inside one event loop and closes the host afterwards.
+    """
+    host = ReplicaHost("fig1", graph)
+    try:
+        asyncio.run(host.bootstrap(snapshot))
+        return host.graph
+    finally:
+        host.close()
+
+
 class TestSnapshot:
-    def test_roundtrip_preserves_fingerprint_and_generation(self):
+    def mutated_graph(self) -> IncrementalEntityGraph:
         graph = IncrementalEntityGraph(base=build_fig1_graph())
         graph.add_entity("SNAP ENTITY", ["FILM ACTOR", "SNAP TYPE"])
         graph.add_relationship(
@@ -163,13 +212,20 @@ class TestSnapshot:
                 target_type=TypeId("FILM ACTOR"),
             ),
         )
-        record = capture_snapshot(graph.entity_graph, graph.generation)
-        assert json.loads(canonical(record)) == record  # wire-safe
-        restored = restore_snapshot(record)
-        assert graph_fingerprint(restored) == graph_fingerprint(
-            graph.entity_graph
-        )
+        return graph
+
+    def test_roundtrip_preserves_fingerprint_and_generation(self):
+        graph = self.mutated_graph()
+        source = graph.entity_graph
+        restored = bootstrap_into(
+            build_fig1_graph(), snapshot_text(source)
+        ).entity_graph
+        assert graph_fingerprint(restored) == graph_fingerprint(source)
         assert restored.generation == graph.generation
+        assert list(restored.entities()) == list(source.entities())
+        assert restored.entity_types() == source.entity_types()
+        assert restored.relationship_types() == source.relationship_types()
+        assert list(restored.relationships()) == list(source.relationships())
 
     def test_restored_graph_extends_identically(self):
         """Post-restore mutations produce the same state as the original.
@@ -179,41 +235,115 @@ class TestSnapshot:
         writer's exact graph, so the restore must preserve every bit of
         order-sensitive internal state the scorers can observe.
         """
-        graph = IncrementalEntityGraph(base=build_fig1_graph())
-        record = capture_snapshot(graph.entity_graph, graph.generation)
-        restored = IncrementalEntityGraph(base=restore_snapshot(record))
+        graph = self.mutated_graph()
+        restored = bootstrap_into(
+            build_fig1_graph(), snapshot_text(graph.entity_graph)
+        )
         for target in (graph, restored):
-            target.add_entity("POST SNAP", ["ARCHITECT", "POST TYPE"])
+            apply_mutation(target, "entity", ("POST SNAP", ["ARCHITECT", "POST TYPE"]))
+            apply_mutation(
+                target,
+                "relationship",
+                ("POST SNAP", "Will Smith", "Mentors", "ARCHITECT", "FILM ACTOR"),
+            )
+        assert restored.generation == graph.generation
         assert graph_fingerprint(graph.entity_graph) == graph_fingerprint(
             restored.entity_graph
         )
+        assert restored.entity_graph.entity_types() == graph.entity_graph.entity_types()
+        assert list(restored.entity_graph.relationships()) == list(
+            graph.entity_graph.relationships()
+        )
 
     def test_fingerprint_tamper_is_rejected(self):
-        graph = IncrementalEntityGraph(base=build_fig1_graph())
-        record = capture_snapshot(graph.entity_graph, graph.generation)
-        record["fingerprint"] = "sha256:" + "0" * 64
-        with pytest.raises(ReplicationError):
-            restore_snapshot(record)
+        """A resealed image whose header pins another graph never loads."""
+        image = bytearray(encode_store(self.mutated_graph().entity_graph))
+        tampered = ("sha256:" + "0" * 64).encode("ascii").ljust(72, b"\x00")
+        image[_FINGERPRINT_AT:_FINGERPRINT_AT + 72] = tampered
+        with pytest.raises(ReplicationError, match="fingerprint mismatch"):
+            bootstrap_into(build_fig1_graph(), encoded(reseal(image)))
+
+    def test_older_snapshot_never_rewinds_the_replica(self):
+        ahead = self.mutated_graph()
+        generation = ahead.generation
+        host = ReplicaHost("fig1", ahead)
+        try:
+            with pytest.raises(ReplicationError, match="older than the replica"):
+                asyncio.run(host.bootstrap(snapshot_text(build_fig1_graph())))
+            assert host.graph is ahead
+            assert host.graph.generation == generation
+            assert host.replication_stats()["snapshots"] == 0
+        finally:
+            host.close()
+
+    def test_writer_ships_its_store_image(self):
+        """Behind the window, the stream's second line is the snapshot."""
+        writer_host = WriterHost("fig1", build_fig1_graph(), window=1)
+        writer = run_in_background(WriterService({"fig1": writer_host}))
+        try:
+            with ServeClient(port=writer.port, dataset="fig1") as client:
+                for index in range(3):
+                    client.mutate_entity(f"SHIPPED {index}", ["FILM ACTOR"])
+            with socket.create_connection(("127.0.0.1", writer.port)) as sock:
+                sock.sendall(
+                    encode_frame(
+                        {
+                            "op": "subscribe",
+                            "id": 1,
+                            "dataset": "fig1",
+                            "params": {"from_generation": 0},
+                        }
+                    )
+                )
+                stream = sock.makefile("rb")
+                ack = json.loads(stream.readline())
+                frame = json.loads(stream.readline())
+            assert ack["result"]["snapshot"] is True
+            assert frame["stream"] == "snapshot"
+            image = base64.b64decode(frame["snapshot"], validate=True)
+            assert image == encode_store(writer_host.graph.entity_graph)
+        finally:
+            writer.stop()
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda r: r.update(kind="bogus"),
-            lambda r: r.update(version=99),
-            lambda r: r.update(entities="not a list"),
-            lambda r: r.update(generation="ten"),
-            lambda r: r.pop("type_order"),
-            lambda r: r.update(relationships=[["too", "short"]]),
+            # Each JSON-codec case's store-image counterpart.
+            lambda image: encoded(b"NOTSTORE" + image[8:]),
+            lambda image: encoded(with_field(image, "<I", _VERSION_AT, 99)),
+            lambda image: {"entities": "not a list"},
+            lambda image: "not base64: the snapshot is text!",
+            lambda image: encoded(image[: len(image) // 2]),
+            lambda image: encoded(
+                image[:-1] + bytes([image[-1] ^ 0x01])
+            ),
             # A generation behind the adds the restore replays.
-            lambda r: r.update(generation=1),
+            lambda image: encoded(
+                reseal(with_field(image, "<Q", _GENERATION_AT, 1))
+            ),
         ],
     )
     def test_malformed_snapshots_raise(self, corrupt):
-        graph = IncrementalEntityGraph(base=build_fig1_graph())
-        record = capture_snapshot(graph.entity_graph, graph.generation)
-        corrupt(record)
-        with pytest.raises(ReplicationError):
-            restore_snapshot(record)
+        """A damaged snapshot frame never reaches the replica's graph."""
+        writer_graph = self.mutated_graph()
+        frame = {
+            "stream": "snapshot",
+            "snapshot": corrupt(encode_store(writer_graph.entity_graph)),
+        }
+        host = ReplicaHost("fig1", build_fig1_graph())
+        service = ReplicaService({"fig1": host}, upstream=("127.0.0.1", 9))
+        before = host.graph
+        fingerprint = graph_fingerprint(before.entity_graph)
+        generation = host.graph.generation
+        try:
+            with pytest.raises(ReplicationError):
+                asyncio.run(service._consume_frame(host, frame))
+            assert host.graph is before
+            assert host.graph.generation == generation
+            assert graph_fingerprint(host.graph.entity_graph) == fingerprint
+            assert host.replication_stats()["snapshots"] == 0
+        finally:
+            host.close()
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +433,6 @@ class TestStaleReadRegression:
 
     @pytest.fixture
     def topology(self):
-        from repro.replicate import RouterService, WriterService
-
         servers = []
         try:
             writer_host = WriterHost(self.DATASET, build_fig1_graph())
@@ -312,8 +440,6 @@ class TestStaleReadRegression:
                 WriterService({self.DATASET: writer_host})
             )
             servers.append(writer)
-
-            from repro.replicate import ReplicaService
 
             fresh_host = ReplicaHost(self.DATASET, build_fig1_graph())
             fresh = run_in_background(

@@ -3,10 +3,12 @@
 Every scenario here breaks the writer→replica stream in a way a real
 deployment would — a replica killed mid-stream that rejoins cold, a
 transport that delays and reorders delta frames, a writer restart, a
-subscriber too slow to keep up — and then asserts the tier's one
-invariant: after convergence, replica reads are **byte-identical** to
-the writer's, and the stats surface tells the true story (snapshot
-bootstraps, resyncs and kicks are counted; lag returns to zero).
+subscriber too slow to keep up, a stream line longer than the replica
+accepts — and then asserts what the tier promises: a tokened replica
+read never returns a stale payload, after convergence replica reads
+are **byte-identical** to the writer's, and the stats surface tells the
+true story (snapshot bootstraps, resyncs and kicks are counted; lag
+returns to zero).
 
 All scenarios run over real sockets; the reordering proxy is a real TCP
 proxy thread, not a monkeypatched queue.
@@ -14,8 +16,10 @@ proxy thread, not a monkeypatched queue.
 
 from __future__ import annotations
 
+import base64
 import importlib.util
 import json
+import logging
 import socket
 import threading
 import time
@@ -31,6 +35,7 @@ _conftest_spec.loader.exec_module(_conftest)
 build_fig1_graph = _conftest.build_fig1_graph
 
 from repro.datasets import graph_fingerprint
+from repro.exceptions import ServeRequestError
 from repro.replicate import (
     ReplicaHost,
     ReplicaService,
@@ -38,6 +43,7 @@ from repro.replicate import (
     WriterService,
 )
 from repro.serve import ServeClient, encode_frame, run_in_background
+from repro.store import encode_store
 
 DATASET = "fig1"
 
@@ -427,3 +433,66 @@ class TestSlowReplicaBackpressure:
 
 def replication_stats_subscribers(host: WriterHost) -> int:
     return host.replication_stats()["subscribers"]
+
+
+# ----------------------------------------------------------------------
+# Scenario 5: an upstream line longer than the replica's stream limit
+# ----------------------------------------------------------------------
+class TinyLimitReplicaService(ReplicaService):
+    """A replica whose stream limit every fig1 snapshot frame exceeds."""
+
+    STREAM_LIMIT = 1024
+    RECONNECT_SECONDS = 0.05
+
+
+class TestOverLimitLine:
+    def test_over_limit_line_resyncs_and_never_serves_stale(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.replicate.replica")
+        writer_host, writer = make_writer(window=2)
+        servers = [writer]
+        try:
+            with ServeClient(port=writer.port, dataset=DATASET) as client:
+                for index in range(5):
+                    client.mutate_entity(
+                        f"OVER LIMIT {index}", ["FILM ACTOR", f"OL {index}"]
+                    )
+            token = writer_host.graph.generation
+            snapshot = base64.b64encode(
+                encode_store(writer_host.graph.entity_graph)
+            )
+            assert len(snapshot) > TinyLimitReplicaService.STREAM_LIMIT
+
+            # The replica starts behind the writer's window, so every
+            # subscribe answers with a snapshot line over its limit.
+            replica_host = ReplicaHost(DATASET, build_fig1_graph())
+            replica_host.REPLICA_WAIT_SECONDS = 0.3
+            base = replica_host.graph.generation
+            service = TinyLimitReplicaService(
+                {DATASET: replica_host}, upstream=("127.0.0.1", writer.port)
+            )
+            replica = run_in_background(service)
+            servers.append(replica)
+
+            # The subscription task survives each over-limit line and
+            # keeps resyncing, counted in stats.
+            wait_until(lambda: replica_host.replication_stats()["resyncs"] >= 3)
+            (task,) = service._subscriptions
+            assert not task.done()
+            assert replica_host.graph.generation == base
+            assert any(
+                "stream limit" in record.getMessage() for record in caplog.records
+            )
+
+            # A tokened read never observes the stale graph: it waits,
+            # then answers ``lagging``.
+            with ServeClient(port=replica.port, dataset=DATASET) as client:
+                with pytest.raises(ServeRequestError) as excinfo:
+                    client.call("preview", dict(PROBE, min_generation=token))
+                assert excinfo.value.code == "lagging"
+                replication = replication_of(client)
+            assert replication["resyncs"] >= 3
+            assert replication["snapshots"] == 0
+            assert not task.done()
+        finally:
+            for server in reversed(servers):
+                server.stop()

@@ -48,9 +48,11 @@ from repro.serve import (
     ReadWriteLock,
     RequestCoalescer,
     ServeClient,
+    apply_mutation,
     decode_frame,
     encode_frame,
     error_response,
+    parse_mutation,
     parse_request,
     run_in_background,
 )
@@ -127,6 +129,33 @@ class TestProtocol:
     def test_unmapped_error_code_becomes_internal(self):
         response = error_response(1, "no-such-code", "boom")
         assert response["error"]["code"] == "internal"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"kind": "entity", "entity": "Ali", "types": ["FILM", "BIOPIC"]},
+            {
+                "kind": "relationship",
+                "source": "Peter Berg",
+                "target": "I, Robot",
+                "name": "Director",
+                "source_type": "FILM DIRECTOR",
+                "target_type": "FILM",
+            },
+        ],
+        ids=["entity", "relationship"],
+    )
+    def test_one_mutation_applier_for_plain_and_live_graphs(self, params):
+        """The service, replication and replay paths share one applier."""
+        from repro.datasets import graph_fingerprint
+
+        plain = build_fig1_graph()
+        live = IncrementalEntityGraph(base=build_fig1_graph())
+        kind, fields = parse_mutation(params)
+        generation = apply_mutation(plain, kind, fields)
+        assert generation == plain.generation == build_fig1_graph().generation + 1
+        assert apply_mutation(live, kind, fields) == generation
+        assert graph_fingerprint(live.entity_graph) == graph_fingerprint(plain)
 
 
 # ----------------------------------------------------------------------
