@@ -64,7 +64,6 @@ from .model import (
     SchemaGraph,
 )
 from .scoring import ScoringContext
-from .store import TripleStore
 
 __version__ = "1.9.0"
 
@@ -97,7 +96,6 @@ __all__ = [
     "ShardedExecutor",
     "SizeConstraint",
     "StoreError",
-    "TripleStore",
     "WorkloadError",
     "apriori_discover",
     "brute_force_discover",

@@ -1,7 +1,11 @@
-"""Save/load Freebase-like domains through the triple-store formats.
+"""Save/load Freebase-like domains as dataset files, chosen by extension.
 
 Lets users materialize a generated domain to disk once and reload it
 without regeneration — the workflow the paper's MySQL import supports.
+The ``.tsv``/``.jsonl`` text formats go through the one triple codec
+(:mod:`repro.model.triples`, via :mod:`repro.store.persistence`); the
+binary ``.rgs`` store (:mod:`repro.store.disk`) also keeps every recorded
+order and the generation.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from ..exceptions import DatasetError
 from ..model.entity_graph import EntityGraph
 from ..store.disk import STORE_EXTENSION, build_store, open_store
 from ..store.persistence import load_jsonl, load_tsv, save_jsonl, save_tsv
-from ..store.schema_extract import entity_graph_from_store, store_from_entity_graph
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -53,17 +56,18 @@ def save_domain(graph: EntityGraph, path: PathLike) -> int:
     """Persist an entity graph; format chosen by extension.
 
     ``.tsv``/``.jsonl`` write the row-per-triple text formats and return
-    the number of rows written; ``.rgs`` writes the binary graph store
+    the number of rows written; a graph they cannot encode raises
+    :class:`~repro.exceptions.PersistenceError` before the file is
+    created.  ``.rgs`` writes the binary graph store
     (:func:`repro.store.build_store`) and returns the bytes written.
     """
     text = str(path)
     if text.endswith(STORE_EXTENSION):
         return build_store(graph, path)
-    store = store_from_entity_graph(graph)
     if text.endswith(".tsv"):
-        return save_tsv(store, path)
+        return save_tsv(graph, path)
     if text.endswith(".jsonl"):
-        return save_jsonl(store, path)
+        return save_jsonl(graph, path)
     raise DatasetError(
         f"unsupported dataset extension: {text!r} (use .tsv/.jsonl/{STORE_EXTENSION})"
     )
@@ -74,19 +78,18 @@ def load_domain_file(path: PathLike, name: str = "entity-graph") -> EntityGraph:
 
     For ``.rgs`` store files the graph's *stored* name and generation
     are authoritative (``name`` is ignored) and the materialized graph
-    is verified against the header fingerprint.
+    is verified against the header fingerprint.  A text file's graph is
+    named ``name``; its entities come in the file's sorted row order.
     """
     text = str(path)
     if text.endswith(STORE_EXTENSION):
         with open_store(path) as store_file:
             return store_file.entity_graph()
     if text.endswith(".tsv"):
-        store = load_tsv(path)
-    elif text.endswith(".jsonl"):
-        store = load_jsonl(path)
-    else:
-        raise DatasetError(
-            f"unsupported dataset extension: {text!r} "
-            f"(use .tsv/.jsonl/{STORE_EXTENSION})"
-        )
-    return entity_graph_from_store(store, name=name)
+        return load_tsv(path, name=name)
+    if text.endswith(".jsonl"):
+        return load_jsonl(path, name=name)
+    raise DatasetError(
+        f"unsupported dataset extension: {text!r} "
+        f"(use .tsv/.jsonl/{STORE_EXTENSION})"
+    )

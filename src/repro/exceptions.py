@@ -64,7 +64,7 @@ class SchemaViolationError(ModelError):
 
 
 class StoreError(ReproError):
-    """Errors raised by the triple store (``repro.store``)."""
+    """Errors raised by dataset storage (``repro.store``)."""
 
 
 class PersistenceError(StoreError):

@@ -48,9 +48,10 @@ class EntityGraph:
     """A typed directed multigraph of entities and relationships.
 
     Instances are usually constructed through
-    :class:`~repro.model.builder.EntityGraphBuilder`, loaded from a
-    :class:`~repro.store.triple_store.TripleStore`, or bulk-loaded with
-    :meth:`bulk_load`, but the mutation API here is public and
+    :class:`~repro.model.builder.EntityGraphBuilder` or bulk-loaded with
+    :meth:`bulk_load` (as the triple decoder
+    :func:`~repro.model.triples.triples_to_entity_graph` and ``.rgs``
+    materialization do), but the mutation API here is public and
     validating.
 
     Every successful mutation is recorded in :attr:`mutation_log` — the

@@ -52,8 +52,15 @@ class RelationshipTypeId:
 
 
 def qualified_name(rel_type: RelationshipTypeId) -> str:
-    """A compact unique string form used by persistence and rendering."""
-    return f"{rel_type.source_type}|{rel_type.name}|{rel_type.target_type}"
+    """The compact ``source_type|name|target_type`` form the triple codec uses.
+
+    Raises :class:`~repro.exceptions.ModelError` when a part contains
+    ``|``, because :func:`parse_qualified_name` could not split it back.
+    """
+    parts = (rel_type.source_type, rel_type.name, rel_type.target_type)
+    if any("|" in part for part in parts):
+        raise ModelError(f"relationship type {rel_type} has '|' in a part")
+    return "|".join(parts)
 
 
 def parse_qualified_name(text: str) -> RelationshipTypeId:

@@ -62,12 +62,17 @@ class SchemaGraph:
         return schema
 
     def add_entity_type(self, type_name: TypeId, entity_count: int = 0) -> None:
-        """Register an entity type vertex with its entity population."""
-        self._graph.add_node(type_name)
-        self._type_counts.setdefault(type_name, 0)
+        """Register an entity type vertex with its entity population.
+
+        Distances depend only on structure, so the distance oracle is
+        dropped only when the type is new, not on a count-only update.
+        """
+        if type_name not in self._type_counts:
+            self._graph.add_node(type_name)
+            self._type_counts[type_name] = 0
+            self._candidates[type_name] = []
+            self._distance_oracle = None
         self._type_counts[type_name] = max(self._type_counts[type_name], entity_count)
-        self._candidates.setdefault(type_name, [])
-        self._distance_oracle = None
 
     def add_relationship_type(
         self, rel_type: RelationshipTypeId, edge_count: int = 1
@@ -75,7 +80,8 @@ class SchemaGraph:
         """Register a relationship type edge with its instance count.
 
         Endpoint types are added implicitly (with zero population) when
-        missing, mirroring multigraph conventions.
+        missing, mirroring multigraph conventions.  Only a new
+        relationship type (or endpoint type) drops the distance oracle.
         """
         self.add_entity_type(rel_type.source_type)
         self.add_entity_type(rel_type.target_type)
@@ -92,7 +98,7 @@ class SchemaGraph:
             self._candidates[rel_type.target_type].append(
                 NonKeyAttribute(rel_type, Direction.IN)
             )
-        self._distance_oracle = None
+            self._distance_oracle = None
 
     # ------------------------------------------------------------------
     # Vertices / edges

@@ -1,8 +1,8 @@
 """Triple codec: entity graphs <-> (subject, predicate, object) triples.
 
 Entity graphs are "often represented as RDF triples" (Sec. 1).  This
-module defines the canonical triple encoding used across the triple store
-and the persistence layer:
+module is the one triple codec: the ``.tsv``/``.jsonl`` dataset formats
+(:mod:`repro.store.persistence`) write and read entity graphs through it.
 
 * ``(entity, TYPE_PREDICATE, type_name)`` asserts entity typing;
 * ``(source, rel-qualified-name, target)`` asserts one relationship
@@ -11,16 +11,18 @@ and the persistence layer:
   recoverable without joins.
 
 The encoding is lossless for the paper's data model (named entities only —
-the paper strips numeric literals from Freebase, and so do we).
+the paper strips numeric literals from Freebase, and so do we) for every
+relationship type whose name and endpoint types are free of ``|``;
+:func:`entity_graph_to_triples` refuses any other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple
 
 from ..exceptions import ModelError
-from .entity_graph import EntityGraph
-from .ids import parse_qualified_name, qualified_name
+from .entity_graph import EntityGraph, Relationship
+from .ids import RelationshipTypeId, parse_qualified_name, qualified_name
 
 #: Predicate used for entity-typing triples (rdf:type shorthand).
 TYPE_PREDICATE = "a"
@@ -37,45 +39,81 @@ class Triple(NamedTuple):
 def entity_graph_to_triples(graph: EntityGraph) -> Iterator[Triple]:
     """Encode ``graph`` losslessly as a deterministic triple stream.
 
-    Typing triples come first (so decoding can validate relationship
-    endpoints on the fly), then relationship triples.  Entities stream in
-    insertion order and each entity's types in the graph's *global*
-    first-seen type order — the order the ``.rgs`` store
-    (:func:`~repro.store.disk.encode_store`) records — so a
-    decoder replaying the stream reproduces the entity insertion order
-    and the first-seen type order the scorers observe, not merely the
-    same extensional content.
+    Typing triples come first, then relationship triples.  Entities
+    stream in insertion order and each entity's types in the graph's
+    *global* first-seen type order — the order the ``.rgs`` store
+    (:func:`~repro.store.disk.encode_store`) records — so decoding the
+    stream reproduces the entity insertion order and the first-seen type
+    order the scorers observe, not merely the same extensional content.
+
+    Raises :class:`~repro.exceptions.ModelError` (from
+    :func:`~repro.model.ids.qualified_name`) before the first triple when
+    a relationship type's name or endpoint type contains ``|``.
+
+    Examples
+    --------
+    Typing triples come first, then one triple per relationship
+    instance; :func:`triples_to_entity_graph` rebuilds the same graph:
+
+    >>> from repro.model import EntityGraphBuilder
+    >>> b = EntityGraphBuilder("tiny")
+    >>> _ = b.entity("Will Smith", "FILM ACTOR").entity("Men in Black", "FILM")
+    >>> _ = b.relate("Will Smith", "Actor", "Men in Black")
+    >>> graph = b.build()
+    >>> for triple in entity_graph_to_triples(graph):
+    ...     print(tuple(triple))
+    ('Will Smith', 'a', 'FILM ACTOR')
+    ('Men in Black', 'a', 'FILM')
+    ('Will Smith', 'FILM ACTOR|Actor|FILM', 'Men in Black')
+    >>> clone = triples_to_entity_graph(entity_graph_to_triples(graph), "tiny")
+    >>> list(clone.entities()) == list(graph.entities())
+    True
+    >>> list(clone.relationships()) == list(graph.relationships())
+    True
     """
+    predicates = {rel: qualified_name(rel) for rel in graph.relationship_types()}
     type_rank = {t: i for i, t in enumerate(graph.entity_types())}
     for entity in graph.entities():
         for type_name in sorted(graph.types_of(entity), key=type_rank.__getitem__):
             yield Triple(entity, TYPE_PREDICATE, type_name)
     for source, target, rel_type in graph.relationships():
-        yield Triple(source, qualified_name(rel_type), target)
+        yield Triple(source, predicates[rel_type], target)
 
 
 def triples_to_entity_graph(
     triples: Iterable[Triple], name: str = "entity-graph"
 ) -> EntityGraph:
-    """Decode a triple stream produced by :func:`entity_graph_to_triples`.
+    """Decode a triple stream with :meth:`EntityGraph.bulk_load`.
 
-    Typing triples may be interleaved with relationship triples as long as
-    every entity is typed before it participates in a relationship;
-    violations raise :class:`~repro.exceptions.ModelError` with the
-    offending triple.
+    Each entity's typing triples are grouped in stream order: entities
+    enter in the order of their first typing triple, and types in the
+    order they are first seen.  Then every relationship triple adds one
+    instance, in stream order, so a triple may precede its endpoints'
+    typing.  Repeated typing triples are idempotent.
+
+    Raises :class:`~repro.exceptions.ModelError` for a predicate that is
+    neither :data:`TYPE_PREDICATE` nor a qualified relationship type, and
+    for a relationship whose endpoint is untyped or lacks the endpoint
+    type its predicate names.
     """
-    graph = EntityGraph(name=name)
+    types_of: Dict[str, List[str]] = {}
+    relationships: List[Relationship] = []
+    rel_types: Dict[str, RelationshipTypeId] = {}
     for triple in triples:
         subject, predicate, obj = triple
         if predicate == TYPE_PREDICATE:
-            graph.add_entity(subject, [obj])
+            types_of.setdefault(subject, []).append(obj)
             continue
-        try:
-            rel_type = parse_qualified_name(predicate)
-        except ModelError as exc:
-            raise ModelError(f"bad relationship predicate in {triple!r}: {exc}") from exc
-        graph.add_relationship(subject, obj, rel_type)
-    return graph
+        rel_type = rel_types.get(predicate)
+        if rel_type is None:
+            try:
+                rel_type = rel_types[predicate] = parse_qualified_name(predicate)
+            except ModelError as exc:
+                raise ModelError(
+                    f"bad relationship predicate in {triple!r}: {exc}"
+                ) from exc
+        relationships.append((subject, obj, rel_type))
+    return EntityGraph.bulk_load(types_of.items(), relationships, name=name)
 
 
 def validate_round_trip(graph: EntityGraph) -> bool:

@@ -287,6 +287,12 @@ class ReplicaService(PreviewService):
     #: Delay before reconnecting a broken subscription, seconds.
     RECONNECT_SECONDS = 0.2
 
+    #: Cap on the delay, which doubles after every connected pass that
+    #: applied no frame (a replica stuck on a line it cannot take would
+    #: otherwise make the writer encode a snapshot every
+    #: :attr:`RECONNECT_SECONDS`), seconds.
+    RECONNECT_MAX_SECONDS = 5.0
+
     #: Stream buffer limit for the upstream connection — generous,
     #: because one line can carry a whole graph snapshot.  A longer
     #: line resyncs the subscription.
@@ -325,20 +331,26 @@ class ReplicaService(PreviewService):
         that delivers the acknowledgement late never desynchronizes
         the loop.  Every resync is counted and logged with its cause; a
         line longer than :attr:`STREAM_LIMIT` resyncs like a broken
-        connection instead of ending the task.
+        connection instead of ending the task.  A refused connection
+        retries after :attr:`RECONNECT_SECONDS`; after a connected pass
+        that applied no frame the delay doubles, up to
+        :attr:`RECONNECT_MAX_SECONDS`, until a frame applies again.
         """
         first = True
+        delay = backoff = self.RECONNECT_SECONDS
         while True:
             if not first:
                 replica.note_resync()
-                await asyncio.sleep(self.RECONNECT_SECONDS)
+                await asyncio.sleep(delay)
             first = False
             try:
                 reader, writer = await asyncio.open_connection(
                     *self.upstream, limit=self.STREAM_LIMIT
                 )
             except OSError:
+                delay = self.RECONNECT_SECONDS
                 continue
+            applied = False
             cause = "the writer closed the stream"
             try:
                 writer.write(
@@ -368,6 +380,7 @@ class ReplicaService(PreviewService):
                     if await self._consume_frame(replica, frame):
                         cause = "the writer kicked this subscriber"
                         break
+                    applied = applied or frame.get("stream") in ("delta", "snapshot")
             except (
                 ConnectionError,
                 asyncio.IncompleteReadError,
@@ -379,10 +392,15 @@ class ReplicaService(PreviewService):
                 writer.close()
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
+            if applied:
+                backoff = self.RECONNECT_SECONDS
+            delay = backoff
+            backoff = min(2 * backoff, self.RECONNECT_MAX_SECONDS)
             logger.warning(
-                "replica of %r resyncs from generation %d: %s",
+                "replica of %r resyncs from generation %d in %.1f s: %s",
                 name,
                 replica.graph.generation,
+                delay,
                 cause,
             )
 

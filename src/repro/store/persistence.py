@@ -1,23 +1,32 @@
-"""Dataset persistence: TSV and JSON-Lines round-trips for triple stores.
+"""Dataset persistence: the ``.tsv`` and ``.jsonl`` text formats.
 
-Two interchangeable formats:
+Both formats hold the sorted distinct triples of
+:func:`~repro.model.triples.entity_graph_to_triples`, one row each with
+its count:
 
-* **TSV** — one ``subject<TAB>predicate<TAB>object<TAB>count`` row per
-  distinct triple; tabs/newlines/backslashes in terms are escaped.  This is
-  the compact format the benchmark datasets ship in.
-* **JSONL** — one JSON object per distinct triple; trivially greppable and
-  robust to arbitrary term content.
+* **TSV** — ``subject<TAB>predicate<TAB>object<TAB>count``; tabs,
+  newlines, carriage returns and backslashes in terms are escaped.
+* **JSONL** — one ``{"s", "p", "o", "n"}`` JSON object per row; trivially
+  greppable and robust to arbitrary term content.
+
+Readers check every row strictly, sum repeated rows in first-seen order
+and decode the result with
+:func:`~repro.model.triples.triples_to_entity_graph`.  Any failure, from
+an unreadable file to a row that does not decode, raises
+:class:`~repro.exceptions.PersistenceError` naming the file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Union
+from collections import Counter
+from itertools import chain, repeat
+from typing import Callable, Optional, Tuple, Union
 
-from ..exceptions import PersistenceError
-from ..model.triples import Triple
-from .triple_store import TripleStore
+from ..exceptions import ModelError, PersistenceError
+from ..model.entity_graph import EntityGraph
+from ..model.triples import Triple, entity_graph_to_triples, triples_to_entity_graph
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -39,7 +48,7 @@ def _unescape(term: str, location: str = "<term>") -> str:
     ``location`` (``path:line``) prefixes the diagnostics.  An unknown
     escape sequence (``\\x``) or a trailing lone backslash means the
     term was not produced by :func:`save_tsv` — decoding it silently
-    would hand a mangled term to the store, so both raise
+    would hand a mangled term to the decoder, so both raise
     :class:`~repro.exceptions.PersistenceError` instead.
     """
     out = []
@@ -66,118 +75,120 @@ def _unescape(term: str, location: str = "<term>") -> str:
     return "".join(out)
 
 
-# ----------------------------------------------------------------------
-# TSV
-# ----------------------------------------------------------------------
-def save_tsv(store: TripleStore, path: PathLike) -> int:
-    """Write the store as TSV; returns the number of rows written."""
-    rows = 0
+def _save(graph: EntityGraph, path: PathLike, line: Callable[[Triple, int], str]) -> int:
+    """Write the sorted distinct ``(triple, count)`` rows of ``graph``.
+
+    The rows are encoded before the file is opened, so a graph the codec
+    refuses leaves no file behind.  Returns the number of rows written.
+    """
+    try:
+        rows = sorted(Counter(entity_graph_to_triples(graph)).items())
+    except ModelError as exc:
+        raise PersistenceError(f"cannot write {path!s}: {exc}") from exc
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            for triple, count in sorted(store.triples()):
-                handle.write(
-                    f"{_escape(triple.subject)}\t{_escape(triple.predicate)}\t"
-                    f"{_escape(triple.object)}\t{count}\n"
-                )
-                rows += 1
+            handle.writelines(line(triple, count) for triple, count in rows)
     except OSError as exc:
         raise PersistenceError(f"cannot write {path!r}: {exc}") from exc
-    return rows
+    return len(rows)
 
 
-def load_tsv(path: PathLike) -> TripleStore:
-    """Read a TSV file written by :func:`save_tsv`."""
-    store = TripleStore()
+def _load(
+    path: PathLike, name: str, parse: Callable[[str, str], Optional[Tuple[Triple, int]]]
+) -> EntityGraph:
+    """Read rows with ``parse``, sum repeats in first-seen order, decode.
+
+    ``parse(line, location)`` returns ``(triple, count)``, or None for a
+    blank line.
+    """
+    counts: Counter = Counter()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise PersistenceError(
-                        f"{path!s}:{line_number}: expected 4 tab-separated "
-                        f"fields, got {len(parts)}"
-                    )
-                subject, predicate, obj, count_text = parts
-                try:
-                    count = int(count_text)
-                except ValueError:
-                    raise PersistenceError(
-                        f"{path!s}:{line_number}: bad count {count_text!r}"
-                    ) from None
-                if count <= 0:
-                    raise PersistenceError(
-                        f"{path!s}:{line_number}: count must be >= 1, "
-                        f"got {count}"
-                    )
-                location = f"{path!s}:{line_number}"
-                store.add(
-                    Triple(
-                        _unescape(subject, location),
-                        _unescape(predicate, location),
-                        _unescape(obj, location),
-                    ),
-                    count=count,
-                )
-    except OSError as exc:
+                row = parse(line, f"{path!s}:{line_number}")
+                if row is not None:
+                    triple, count = row
+                    counts[triple] += count
+    except (OSError, UnicodeDecodeError) as exc:
         raise PersistenceError(f"cannot read {path!r}: {exc}") from exc
-    return store
+    triples = chain.from_iterable(repeat(t, n) for t, n in counts.items())
+    try:
+        return triples_to_entity_graph(triples, name=name)
+    except ModelError as exc:
+        raise PersistenceError(f"{path!s}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# TSV
+# ----------------------------------------------------------------------
+def _tsv_line(triple: Triple, count: int) -> str:
+    subject, predicate, obj = (_escape(term) for term in triple)
+    return f"{subject}\t{predicate}\t{obj}\t{count}\n"
+
+
+def _parse_tsv(line: str, location: str) -> Optional[Tuple[Triple, int]]:
+    line = line.rstrip("\n")
+    if not line:
+        return None
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise PersistenceError(
+            f"{location}: expected 4 tab-separated fields, got {len(parts)}"
+        )
+    subject, predicate, obj, count_text = parts
+    try:
+        count = int(count_text)
+    except ValueError:
+        raise PersistenceError(f"{location}: bad count {count_text!r}") from None
+    if count <= 0:
+        raise PersistenceError(f"{location}: count must be >= 1, got {count}")
+    terms = (_unescape(term, location) for term in (subject, predicate, obj))
+    return Triple(*terms), count
+
+
+def save_tsv(graph: EntityGraph, path: PathLike) -> int:
+    """Write ``graph`` as TSV; returns the number of rows written."""
+    return _save(graph, path, _tsv_line)
+
+
+def load_tsv(path: PathLike, name: str = "entity-graph") -> EntityGraph:
+    """Read a TSV file written by :func:`save_tsv` into a graph ``name``."""
+    return _load(path, name, _parse_tsv)
 
 
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def save_jsonl(store: TripleStore, path: PathLike) -> int:
-    """Write the store as JSON-Lines; returns the number of rows written."""
-    rows = 0
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for triple, count in sorted(store.triples()):
-                record = {
-                    "s": triple.subject,
-                    "p": triple.predicate,
-                    "o": triple.object,
-                    "n": count,
-                }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                rows += 1
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path!r}: {exc}") from exc
-    return rows
+def _jsonl_line(triple: Triple, count: int) -> str:
+    subject, predicate, obj = triple
+    record = {"s": subject, "p": predicate, "o": obj, "n": count}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def load_jsonl(path: PathLike) -> TripleStore:
-    """Read a JSONL file written by :func:`save_jsonl`."""
-    store = TripleStore()
+def _parse_jsonl(line: str, location: str) -> Optional[Tuple[Triple, int]]:
+    line = line.strip()
+    if not line:
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    count = int(record.get("n", 1))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise PersistenceError(
-                        f"{path!s}:{line_number}: malformed record: {exc}"
-                    ) from exc
-                if count <= 0:
-                    raise PersistenceError(
-                        f"{path!s}:{line_number}: count must be >= 1, "
-                        f"got {count}"
-                    )
-                try:
-                    store.add(
-                        Triple(record["s"], record["p"], record["o"]),
-                        count=count,
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise PersistenceError(
-                        f"{path!s}:{line_number}: malformed record: {exc}"
-                    ) from exc
-    except OSError as exc:
-        raise PersistenceError(f"cannot read {path!r}: {exc}") from exc
-    return store
+        record = json.loads(line)
+        count = record.get("n", 1)
+        triple = Triple(record["s"], record["p"], record["o"])
+    except (json.JSONDecodeError, AttributeError, KeyError) as exc:
+        raise PersistenceError(f"{location}: malformed record: {exc!r}") from exc
+    if not all(isinstance(term, str) for term in triple):
+        raise PersistenceError(f"{location}: terms must be strings")
+    if type(count) is not int or count <= 0:
+        raise PersistenceError(
+            f"{location}: count must be an integer >= 1, got {count!r}"
+        )
+    return triple, count
+
+
+def save_jsonl(graph: EntityGraph, path: PathLike) -> int:
+    """Write ``graph`` as JSON-Lines; returns the number of rows written."""
+    return _save(graph, path, _jsonl_line)
+
+
+def load_jsonl(path: PathLike, name: str = "entity-graph") -> EntityGraph:
+    """Read a JSONL file written by :func:`save_jsonl` into a graph ``name``."""
+    return _load(path, name, _parse_jsonl)

@@ -4,7 +4,8 @@ The graph substrate is dependency-free by design, but the test
 environment ships networkx and numpy — so we use them as independent
 oracles: BFS distances, connected components, cliques and stationary
 distributions must agree with the reference implementations on random
-inputs.
+inputs.  The text-dataset reader is checked the same way, against a
+brute-force replay of its rows through the validating mutation API.
 """
 
 import random
@@ -23,8 +24,8 @@ from repro.graph import (
     stationary_distribution,
     transition_matrix,
 )
-from repro.model import Triple
-from repro.store import TripleStore
+from repro.model import EntityGraph, parse_qualified_name
+from repro.store import load_tsv
 
 
 def random_undirected(n, p, seed, weighted=False):
@@ -121,30 +122,52 @@ class TestStationaryAgainstNumpy:
 
 
 class TestStoreScanOracle:
-    """Index-backed scans must equal brute-force filtering."""
+    """The text reader must equal a brute-force replay of its rows.
+
+    Random rows (typing and relationship rows over a few terms, repeated,
+    with random counts, in random order) go through :func:`load_tsv`;
+    the oracle replays the same rows one mutation at a time: each
+    entity's typing rows in first-seen order, then each distinct
+    relationship row, in first-seen order, as often as its counts sum.
+    """
+
+    @staticmethod
+    def replay(rows):
+        graph = EntityGraph(name="oracle")
+        typing = [(s, o) for s, p, o, _n in rows if p == "a"]
+        for entity in dict.fromkeys(s for s, _o in typing):
+            graph.add_entity(entity, [o for s, o in typing if s == entity])
+        edges = [row[:3] for row in rows if row[1] != "a"]
+        for s, p, o in dict.fromkeys(edges):
+            total = sum(row[3] for row in rows if row[:3] == (s, p, o))
+            for _ in range(total):
+                graph.add_relationship(s, o, parse_qualified_name(p))
+        return graph
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_patterns(self, seed):
+    def test_random_patterns(self, seed, tmp_path):
         rng = random.Random(seed)
-        terms = [f"t{i}" for i in range(6)]
-        store = TripleStore()
-        universe = []
-        for _ in range(60):
-            triple = Triple(
-                rng.choice(terms), rng.choice(terms), rng.choice(terms)
-            )
-            store.add(triple)
-            universe.append(triple)
-        distinct = set(universe)
+        types = {
+            f"e{i}": rng.sample(["T0", "T1", "T2"], rng.randint(1, 2))
+            for i in range(6)
+        }
+        rows = [(e, "a", t, rng.randint(1, 2)) for e, ts in types.items() for t in ts]
+        rows += rng.sample(rows, 4)  # repeated typing rows
         for _ in range(30):
-            pattern = [
-                None if rng.random() < 0.5 else rng.choice(terms)
-                for _ in range(3)
-            ]
-            scanned = set(store.scan(*pattern))
-            expected = {
-                t
-                for t in distinct
-                if all(p is None or field == p for field, p in zip(t, pattern))
-            }
-            assert scanned == expected
+            s, o = rng.choice(sorted(types)), rng.choice(sorted(types))
+            predicate = "|".join(
+                (rng.choice(types[s]), rng.choice(["r0", "r1"]), rng.choice(types[o]))
+            )
+            rows.append((s, predicate, o, rng.randint(1, 3)))
+        rows += rng.sample(rows, 10)  # repeated relationship and typing rows
+        rng.shuffle(rows)
+        path = tmp_path / "rows.tsv"
+        path.write_text("".join(f"{s}\t{p}\t{o}\t{n}\n" for s, p, o, n in rows))
+
+        loaded, expected = load_tsv(path, name="oracle"), self.replay(rows)
+        assert list(loaded.entities()) == list(expected.entities())
+        assert loaded.entity_types() == expected.entity_types()
+        for entity in expected.entities():
+            assert loaded.types_of(entity) == expected.types_of(entity)
+        assert list(loaded.relationships()) == list(expected.relationships())
+        assert loaded.generation == expected.generation

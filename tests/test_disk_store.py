@@ -605,6 +605,20 @@ class TestDatasetCli:
         assert summary["counts"]["entities"] > 0
         assert set(summary["sections"]) == set(SECTION_NAMES)
 
+    @pytest.mark.parametrize("ext", ["tsv", "jsonl"])
+    def test_build_from_text_file(self, tmp_path, capsys, ext):
+        text_path = tmp_path / f"arch.{ext}"
+        save_domain(generate_domain("architecture", scale=300, seed=11), text_path)
+        out = tmp_path / f"arch{STORE_EXTENSION}"
+        code = main(["dataset", "build", "--file", str(text_path), "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["dataset", "info", str(out), "--verify"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["verified"] is True
+        assert summary["fingerprint"] == graph_fingerprint(load_domain_file(text_path))
+
     def test_info_on_damaged_store_errors_cleanly(self, tmp_path, capsys):
         path = tmp_path / f"bad{STORE_EXTENSION}"
         path.write_bytes(b"NOTSTORE" + b"\x00" * 500)

@@ -99,6 +99,25 @@ class TestDerivedGraphs:
         schema.add_relationship_type(shortcut)
         assert schema.distance("FILM GENRE", "AWARD") == 1
 
+    def test_distance_oracle_survives_count_only_updates(self, fig1_graph):
+        schema = SchemaGraph.from_entity_graph(fig1_graph)
+        actor = RelationshipTypeId("Actor", "FILM ACTOR", "FILM")
+        oracle = schema.distance_oracle()
+        schema.add_entity_type("FILM", entity_count=99)
+        schema.add_relationship_type(actor, edge_count=4)
+        assert schema.distance_oracle() is oracle
+        assert schema.entity_count("FILM") == 99
+        assert schema.relationship_count(actor) == 10
+
+        schema.add_entity_type("STUDIO")
+        rebuilt = schema.distance_oracle()
+        assert rebuilt is not oracle
+        assert schema.distance("STUDIO", "FILM") == float("inf")
+
+        schema.add_relationship_type(RelationshipTypeId("Produced", "STUDIO", "FILM"))
+        assert schema.distance_oracle() is not rebuilt
+        assert schema.distance("STUDIO", "FILM") == 1
+
     def test_repeated_relationship_type_accumulates(self):
         schema = SchemaGraph()
         rel = RelationshipTypeId("r", "A", "B")

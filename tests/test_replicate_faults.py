@@ -446,7 +446,9 @@ class TinyLimitReplicaService(ReplicaService):
 
 
 class TestOverLimitLine:
-    def test_over_limit_line_resyncs_and_never_serves_stale(self, caplog):
+    def test_over_limit_line_resyncs_and_never_serves_stale(
+        self, caplog, monkeypatch
+    ):
         caplog.set_level(logging.WARNING, logger="repro.replicate.replica")
         writer_host, writer = make_writer(window=2)
         servers = [writer]
@@ -462,6 +464,18 @@ class TestOverLimitLine:
             )
             assert len(snapshot) > TinyLimitReplicaService.STREAM_LIMIT
 
+            # Every subscribe past the horizon makes the writer encode its
+            # whole graph: count those captures.
+            captures = []
+
+            def counting_encode_store(graph):
+                captures.append(time.monotonic())
+                return encode_store(graph)
+
+            monkeypatch.setattr(
+                "repro.replicate.writer.encode_store", counting_encode_store
+            )
+
             # The replica starts behind the writer's window, so every
             # subscribe answers with a snapshot line over its limit.
             replica_host = ReplicaHost(DATASET, build_fig1_graph())
@@ -470,12 +484,14 @@ class TestOverLimitLine:
             service = TinyLimitReplicaService(
                 {DATASET: replica_host}, upstream=("127.0.0.1", writer.port)
             )
+            started = time.monotonic()
             replica = run_in_background(service)
             servers.append(replica)
 
             # The subscription task survives each over-limit line and
             # keeps resyncing, counted in stats.
             wait_until(lambda: replica_host.replication_stats()["resyncs"] >= 3)
+            resyncs = replica_host.replication_stats()["resyncs"]
             (task,) = service._subscriptions
             assert not task.done()
             assert replica_host.graph.generation == base
@@ -492,6 +508,13 @@ class TestOverLimitLine:
                 replication = replication_of(client)
             assert replication["resyncs"] >= 3
             assert replication["snapshots"] == 0
+
+            # The replica backs off: the delay doubles after each pass
+            # that applied no frame, so the writer captures a handful of
+            # times in 3 s instead of once per RECONNECT_SECONDS.
+            time.sleep(max(0.0, started + 3.0 - time.monotonic()))
+            assert len([t for t in captures if t < started + 3.0]) <= 7
+            assert replica_host.replication_stats()["resyncs"] > resyncs
             assert not task.done()
         finally:
             for server in reversed(servers):

@@ -1,120 +1,53 @@
-"""Unit tests for repro.store (triple store, queries, persistence, bridge)."""
+"""Unit tests for repro.store's text formats and the triple codec behind them."""
+
+import hashlib
+import json
 
 import pytest
 
-from repro.exceptions import PersistenceError, StoreError
-from repro.model import Triple
-from repro.store import (
-    TripleStore,
-    entity_graph_from_store,
-    load_jsonl,
-    load_tsv,
-    query,
-    save_jsonl,
-    save_tsv,
-    schema_graph_from_store,
-    select,
-    store_from_entity_graph,
+from repro.datasets import graph_fingerprint, load_domain_file, save_domain
+from repro.exceptions import ModelError, PersistenceError, StoreError
+from repro.model import (
+    EntityGraph,
+    RelationshipTypeId,
+    SchemaGraph,
+    entity_graph_to_triples,
+    triples_to_entity_graph,
 )
+from repro.store import load_jsonl, load_tsv, save_jsonl, save_tsv
+
+ACTED = RelationshipTypeId("acted", "ACTOR", "FILM")
+
+EXTENSIONS = ("jsonl", "tsv")
+
+#: sha256 of ``save_domain(fig1_graph, ...)``, recorded before the text
+#: formats moved onto the triple codec; the move kept every byte.
+FIG1_SHA256 = {
+    "tsv": "6b387549c6b9d95055bbb89df4caf82cad60b52ca71d452e2c7bf7e91fcd1075",
+    "jsonl": "144d489e5c6624ef27b56b96a625359820e5d59cf23c68c8618e765027b02ce3",
+}
 
 
 @pytest.fixture
-def store():
-    s = TripleStore()
-    s.add(Triple("will", "a", "ACTOR"))
-    s.add(Triple("mib", "a", "FILM"))
-    s.add(Triple("will", "ACTOR|acted|FILM", "mib"))
-    s.add(Triple("will", "ACTOR|acted|FILM", "mib"))  # multiplicity 2
-    s.add(Triple("tommy", "a", "ACTOR"))
-    s.add(Triple("tommy", "ACTOR|acted|FILM", "mib"))
-    return s
+def graph():
+    """Two actors and a film; ``will`` acted in ``mib`` twice."""
+    g = EntityGraph(name="cast")
+    g.add_entity("will", ["ACTOR"])
+    g.add_entity("mib", ["FILM"])
+    g.add_entity("tommy", ["ACTOR"])
+    g.add_relationship("will", "mib", ACTED)
+    g.add_relationship("will", "mib", ACTED)
+    g.add_relationship("tommy", "mib", ACTED)
+    return g
 
 
-class TestTripleStore:
-    def test_multiplicity(self, store):
-        assert store.count(Triple("will", "ACTOR|acted|FILM", "mib")) == 2
-        assert len(store) == 6
-        assert store.distinct_count == 5
-
-    def test_contains(self, store):
-        assert Triple("will", "a", "ACTOR") in store
-        assert Triple("x", "y", "z") not in store
-
-    def test_add_nonpositive_count_rejected(self, store):
-        with pytest.raises(StoreError):
-            store.add(Triple("a", "b", "c"), count=0)
-
-    def test_remove_decrements(self, store):
-        t = Triple("will", "ACTOR|acted|FILM", "mib")
-        store.remove(t)
-        assert store.count(t) == 1
-        store.remove(t)
-        assert t not in store
-
-    def test_remove_too_many_raises(self, store):
-        with pytest.raises(StoreError):
-            store.remove(Triple("will", "a", "ACTOR"), count=5)
-
-    def test_remove_cleans_indexes(self, store):
-        t = Triple("tommy", "ACTOR|acted|FILM", "mib")
-        store.remove(t)
-        assert list(store.scan(subject="tommy", predicate="ACTOR|acted|FILM")) == []
-
-
-class TestScan:
-    def test_scan_by_predicate(self, store):
-        results = set(store.scan(predicate="a"))
-        assert len(results) == 3
-
-    def test_scan_fully_bound(self, store):
-        assert list(store.scan("will", "a", "ACTOR")) == [Triple("will", "a", "ACTOR")]
-        assert list(store.scan("will", "a", "FILM")) == []
-
-    def test_scan_subject_object(self, store):
-        results = list(store.scan(subject="will", object="mib"))
-        assert results == [Triple("will", "ACTOR|acted|FILM", "mib")]
-
-    def test_scan_all(self, store):
-        assert len(list(store.scan())) == 5
-
-    def test_scan_counted(self, store):
-        counts = dict(store.scan_counted(predicate="ACTOR|acted|FILM"))
-        assert counts[Triple("will", "ACTOR|acted|FILM", "mib")] == 2
-
-    def test_predicate_cardinality_includes_multiplicity(self, store):
-        assert store.predicate_cardinality("ACTOR|acted|FILM") == 3
-        assert store.predicate_cardinality("missing") == 0
-
-
-class TestQuery:
-    def test_single_pattern(self, store):
-        rows = select(store, [("?who", "a", "ACTOR")], ["?who"])
-        assert {row[0] for row in rows} == {"will", "tommy"}
-
-    def test_join(self, store):
-        rows = select(
-            store,
-            [("?who", "a", "ACTOR"), ("?who", "ACTOR|acted|FILM", "?film")],
-            ["?who", "?film"],
-        )
-        assert set(rows) == {("will", "mib"), ("tommy", "mib")}
-
-    def test_shared_variable_consistency(self, store):
-        # ?x must bind to the same value in both positions.
-        rows = query(store, [("?x", "ACTOR|acted|FILM", "?x")])
-        assert rows == []
-
-    def test_empty_patterns_rejected(self, store):
-        with pytest.raises(StoreError):
-            query(store, [])
-
-    def test_projection_requires_variables(self, store):
-        with pytest.raises(StoreError):
-            select(store, [("?who", "a", "ACTOR")], ["who"])
-
-    def test_unbound_projection_raises(self, store):
-        with pytest.raises(StoreError):
-            select(store, [("?who", "a", "ACTOR")], ["?ghost"])
+def write_rows(path, rows):
+    """Write ``(s, p, o, n)`` rows by hand in the format ``path`` names."""
+    if path.suffix == ".tsv":
+        lines = [f"{s}\t{p}\t{o}\t{n}" for s, p, o, n in rows]
+    else:
+        lines = [json.dumps({"s": s, "p": p, "o": o, "n": n}) for s, p, o, n in rows]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 class TestPersistence:
@@ -122,20 +55,25 @@ class TestPersistence:
         "save,load,ext",
         [(save_tsv, load_tsv, "tsv"), (save_jsonl, load_jsonl, "jsonl")],
     )
-    def test_round_trip(self, store, tmp_path, save, load, ext):
+    def test_round_trip(self, graph, tmp_path, save, load, ext):
         path = tmp_path / f"data.{ext}"
-        rows = save(store, path)
-        assert rows == store.distinct_count
-        loaded = load(path)
-        assert sorted(loaded.triples()) == sorted(store.triples())
+        rows = save(graph, path)
+        assert rows == 5  # three typing rows, two distinct relationship rows
+        loaded = load(path, name="cast")
+        assert loaded.name == "cast"
+        assert graph_fingerprint(loaded) == graph_fingerprint(graph)
+        assert loaded.relationship_count(ACTED) == 3
+        assert loaded.generation == graph.generation
 
     def test_tsv_escaping(self, tmp_path):
-        s = TripleStore()
-        tricky = Triple("a\tb", "p\nq", "o\\r")
-        s.add(tricky)
+        g = EntityGraph(name="tricky")
+        g.add_entity("a\tb", ["T\nU"])
+        g.add_entity("o\\r", ["V\rW"])
+        g.add_relationship("a\tb", "o\\r", RelationshipTypeId("p\nq", "T\nU", "V\rW"))
         path = tmp_path / "tricky.tsv"
-        save_tsv(s, path)
-        assert list(load_tsv(path).scan()) == [tricky]
+        assert save_tsv(g, path) == 3
+        assert path.read_bytes().count(b"\n") == 3
+        assert graph_fingerprint(load_tsv(path)) == graph_fingerprint(g)
 
     def test_malformed_tsv_raises(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -154,28 +92,132 @@ class TestPersistence:
             load_tsv(tmp_path / "nope.tsv")
 
 
+class TestRowCodec:
+    """Writers emit sorted distinct rows; readers sum them and decode."""
+
+    def test_writer_rows_are_sorted_distinct_counts(self, graph, tmp_path):
+        path = tmp_path / "cast.tsv"
+        save_tsv(graph, path)
+        assert path.read_text(encoding="utf-8") == (
+            "mib\ta\tFILM\t1\n"
+            "tommy\tACTOR|acted|FILM\tmib\t1\n"
+            "tommy\ta\tACTOR\t1\n"
+            "will\tACTOR|acted|FILM\tmib\t2\n"
+            "will\ta\tACTOR\t1\n"
+        )
+
+    @pytest.mark.parametrize("ext", EXTENSIONS)
+    def test_repeated_rows_sum_in_first_seen_order(self, tmp_path, ext):
+        knows = RelationshipTypeId("knows", "ZULU", "ALPHA")
+        back = RelationshipTypeId("knows", "ALPHA", "ZULU")
+        path = tmp_path / f"rows.{ext}"
+        write_rows(path, [
+            ("zed", "a", "ZULU", 1),
+            ("amy", "a", "ALPHA", 1),
+            ("zed", "ZULU|knows|ALPHA", "amy", 1),
+            ("amy", "a", "ALPHA", 1),  # a repeated typing row is idempotent
+            ("zed", "a", "MIKE", 1),  # joins zed's earlier typing row
+            ("amy", "ALPHA|knows|ZULU", "zed", 1),
+            ("zed", "ZULU|knows|ALPHA", "amy", 2),  # sums into row 3
+        ])
+        loaded = load_domain_file(path)
+        assert list(loaded.entities()) == ["zed", "amy"]
+        assert loaded.entity_types() == ["ZULU", "MIKE", "ALPHA"]
+        assert list(loaded.relationships()) == [("zed", "amy", knows)] * 3 + [
+            ("amy", "zed", back)
+        ]
+        assert loaded.generation == 2 + 4
+        # As after .rgs materialization, the mutation-log window is empty.
+        assert len(loaded.mutation_log) == 0
+        assert loaded.mutation_log.horizon == loaded.generation
+
+    @pytest.mark.parametrize("ext", EXTENSIONS)
+    @pytest.mark.parametrize(
+        "rows,diagnostic",
+        [
+            ([("a", "a", "A", 1), ("a", "A|r|B", "ghost", 1)], "unknown entity"),
+            (
+                [("a", "a", "A", 1), ("b", "a", "C", 1), ("a", "A|r|B", "b", 1)],
+                "lacks type 'B'",
+            ),
+        ],
+        ids=["untyped-endpoint", "wrong-endpoint-type"],
+    )
+    def test_undecodable_row_names_the_file(self, tmp_path, ext, rows, diagnostic):
+        path = tmp_path / f"bad.{ext}"
+        write_rows(path, rows)
+        with pytest.raises(PersistenceError, match=rf"bad\.{ext}: .*{diagnostic}"):
+            load_domain_file(path)
+
+    @pytest.mark.parametrize("ext", EXTENSIONS)
+    def test_undecodable_bytes_raise(self, tmp_path, ext):
+        path = tmp_path / f"latin1.{ext}"
+        path.write_bytes(b"caf\xe9\ta\tPLACE\t1\n")
+        with pytest.raises(PersistenceError, match="cannot read"):
+            load_domain_file(path)
+
+    @pytest.mark.parametrize("ext", EXTENSIONS)
+    @pytest.mark.parametrize(
+        "rel_type",
+        [
+            RelationshipTypeId("r", "A|B", "C"),
+            RelationshipTypeId("r|s", "A", "C"),
+            RelationshipTypeId("r", "A", "C|D"),
+        ],
+        ids=["source-type", "name", "target-type"],
+    )
+    def test_pipe_in_relationship_type_fails_at_save(self, tmp_path, ext, rel_type):
+        g = EntityGraph(name="pipes")
+        g.add_entity("x", [rel_type.source_type])
+        g.add_entity("y", [rel_type.target_type])
+        g.add_relationship("x", "y", rel_type)
+        path = tmp_path / f"pipes.{ext}"
+        with pytest.raises(PersistenceError, match=r"pipes\.\w+: .*'\|'"):
+            save_domain(g, path)
+        assert not path.exists()
+        with pytest.raises(ModelError):
+            list(entity_graph_to_triples(g))
+
+    @pytest.mark.parametrize("ext", EXTENSIONS)
+    def test_pipe_in_an_entity_type_alone_round_trips(self, tmp_path, ext):
+        g = EntityGraph(name="pipes")
+        g.add_entity("x|y", ["A|B"])
+        path = tmp_path / f"pipes.{ext}"
+        save_domain(g, path)
+        assert graph_fingerprint(load_domain_file(path)) == graph_fingerprint(g)
+
+    @pytest.mark.parametrize("ext", EXTENSIONS)
+    def test_fig1_bytes_are_pinned(self, fig1_graph, tmp_path, ext):
+        path = tmp_path / f"fig1.{ext}"
+        save_domain(fig1_graph, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG1_SHA256[ext]
+
+
 class TestSchemaBridge:
     def test_entity_graph_round_trip(self, fig1_graph):
-        store = store_from_entity_graph(fig1_graph)
-        clone = entity_graph_from_store(store, name="fig1")
+        clone = triples_to_entity_graph(entity_graph_to_triples(fig1_graph), name="fig1")
         assert clone.stats() == fig1_graph.stats()
+        assert clone.generation == fig1_graph.generation
+        assert list(clone.entities()) == list(fig1_graph.entities())
+        assert clone.entity_types() == fig1_graph.entity_types()
+        assert list(clone.relationships()) == list(fig1_graph.relationships())
 
-    def test_schema_from_store(self, fig1_graph):
-        store = store_from_entity_graph(fig1_graph)
-        schema = schema_graph_from_store(store)
+    def test_schema_from_store(self, fig1_graph, tmp_path):
+        path = tmp_path / "fig1.tsv"
+        save_tsv(fig1_graph, path)
+        schema = SchemaGraph.from_entity_graph(load_tsv(path))
         assert schema.entity_type_count == 6
         assert schema.relationship_type_count == 5
 
-    def test_bad_predicate_raises(self):
-        s = TripleStore()
-        s.add(Triple("a", "a", "A"))
-        s.add(Triple("a", "unqualified", "a"))
-        with pytest.raises(StoreError):
-            entity_graph_from_store(s)
+    def test_bad_predicate_raises(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        write_rows(path, [("a", "a", "A", 1), ("a", "unqualified", "a", 1)])
+        with pytest.raises(StoreError, match=r"bad\.tsv: bad relationship predicate"):
+            load_tsv(path)
 
 
 class TestRoundTripOrderRegression:
-    """Store round trips must preserve the orders scorers observe.
+    """Codec round trips must preserve the orders scorers observe.
 
     Regression for a bug where ``entity_graph_to_triples`` emitted each
     entity's types in set-iteration order and the rebuild side replayed
@@ -196,12 +238,6 @@ class TestRoundTripOrderRegression:
     def test_fingerprint_survives_text_round_trip(self, fig1_graph, tmp_path):
         """The text formats preserve content (the binary store also
         preserves order — that lives in tests/test_disk_store.py)."""
-        from repro.datasets.loader import (
-            graph_fingerprint,
-            load_domain_file,
-            save_domain,
-        )
-
         for ext in ("tsv", "jsonl"):
             path = tmp_path / f"fig1.{ext}"
             save_domain(fig1_graph, path)
@@ -219,8 +255,8 @@ class TestRoundTripOrderRegression:
         from repro.core.serialize import result_to_dict
         from repro.engine import PreviewEngine
 
-        clone = entity_graph_from_store(
-            store_from_entity_graph(fig1_graph), name=fig1_graph.name
+        clone = triples_to_entity_graph(
+            entity_graph_to_triples(fig1_graph), name=fig1_graph.name
         )
         reference = PreviewEngine(fig1_graph).query(
             k=2, n=4, algorithm=algorithm, **kwargs
@@ -232,14 +268,10 @@ class TestRoundTripOrderRegression:
 
     def test_multi_type_entity_order_survives(self):
         """An entity introducing several types keeps their caller order."""
-        from repro.model import EntityGraph
-
         graph = EntityGraph(name="order")
         graph.add_entity("zed", ["ZULU", "ALPHA", "MIKE"])  # not sorted
         graph.add_entity("amy", ["ALPHA"])
-        clone = entity_graph_from_store(
-            store_from_entity_graph(graph), name="order"
-        )
+        clone = triples_to_entity_graph(entity_graph_to_triples(graph), name="order")
         assert clone.entity_types() == graph.entity_types()
 
 
@@ -283,11 +315,22 @@ class TestStrictPersistence:
             '{"s": "a", "p": "b", "o": "c", "n": -2}',
             '{"s": "a", "p": "b", "o": "c", "n": "many"}',
             '{"s": "a", "p": "b"}',
+            '{"s": "a", "p": "b", "o": "c", "n": 1.5}',
+            '{"s": 7, "p": "a", "o": "A", "n": 1}',
+            '["a", "a", "A", 1]',
         ],
-        ids=["zero-count", "negative-count", "nonint-count", "missing-term"],
+        ids=[
+            "zero-count",
+            "negative-count",
+            "nonint-count",
+            "missing-term",
+            "fractional-count",
+            "nonstring-term",
+            "not-an-object",
+        ],
     )
     def test_bad_jsonl_rows_raise(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(PersistenceError):
+        with pytest.raises(PersistenceError, match=r"bad\.jsonl:1: "):
             load_jsonl(path)

@@ -29,7 +29,7 @@ MODULES = (
     "repro",
     "repro.engine.engine",
     "repro.engine.query",
-    "repro.store.triple_store",
+    "repro.model.triples",
     "repro.serve.protocol",
     "repro.workload.generator",
 )
