@@ -193,6 +193,20 @@ class TestRowCodec:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG1_SHA256[ext]
 
 
+class TestTripleStore:
+    """A stored row asserts its triple ``count >= 1`` times."""
+
+    def test_add_nonpositive_count_rejected(self, tmp_path):
+        # Each row is checked on its own: an earlier valid row for the same
+        # triple must not let a zero or negative count sum its way in.
+        for ext in EXTENSIONS:
+            for count in (0, -1):
+                path = tmp_path / f"rows.{ext}"
+                write_rows(path, [("a", "a", "A", 1), ("a", "a", "A", count)])
+                with pytest.raises(StoreError, match=rf"rows\.{ext}:2: count must be"):
+                    load_domain_file(path)
+
+
 class TestSchemaBridge:
     def test_entity_graph_round_trip(self, fig1_graph):
         clone = triples_to_entity_graph(entity_graph_to_triples(fig1_graph), name="fig1")
