@@ -63,6 +63,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from pathlib import Path
 from typing import List, Optional
 
 from . import plan
@@ -689,7 +690,7 @@ def dataset_main(argv: Optional[List[str]] = None) -> int:
                     args.domain, scale=args.scale, seed=args.seed
                 )
             else:
-                graph = load_domain_file(args.file)
+                graph = load_domain_file(args.file, name=Path(args.file).stem)
             total = build_store(graph, args.out)
             print(
                 f"stored {graph.name}: {total} bytes, "

@@ -19,6 +19,8 @@ of going straight to DP/Apriori.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import add
 from typing import List, Optional, Tuple
 
 from ..scoring.preview_score import ScoringContext
@@ -58,7 +60,8 @@ def branch_and_bound_discover(
 
     def optimistic(prefix_bound: float, next_index: int, picked: int) -> float:
         remaining = k - picked
-        extra = sum(bounds_from[next_index][:remaining])
+        # Left to right: builtin ``sum`` compensates float sums since 3.12.
+        extra = reduce(add, bounds_from[next_index][:remaining], 0)
         if len(bounds_from[next_index]) < remaining:
             return float("-inf")  # not enough types left
         return prefix_bound + extra

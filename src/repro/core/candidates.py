@@ -24,6 +24,8 @@ dropping it leaves the preview optimal while keeping it minimal.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .. import kernel, plan
@@ -219,4 +221,5 @@ def upper_bound_for_keys(
     prefix-table lookup per key via the candidate pool.
     """
     cap = size.max_attributes_per_table
-    return sum(context.top_m_table_score(key, cap) for key in keys)
+    # Left to right: builtin ``sum`` compensates float sums since 3.12.
+    return reduce(add, (context.top_m_table_score(key, cap) for key in keys), 0)

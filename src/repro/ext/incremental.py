@@ -1,47 +1,42 @@
-"""Incremental maintenance of schema graphs and coverage scores.
+"""Incremental maintenance of schema graphs and scoring contexts.
 
 Sec. 5 of the paper asserts that the schema graph and the scoring
 measures "can be incrementally updated when the underlying entity graph
 is updated (detailed discussion omitted)" — while optimal previews
-cannot.  This module supplies that omitted machinery for the coverage
-measures (the aggregate-count ones, where incrementality is exact):
+cannot.  This module supplies that omitted machinery:
 
-* :class:`IncrementalEntityGraph` wraps an :class:`EntityGraph` and, on
-  every mutation, updates the derived :class:`SchemaGraph` counts and the
-  coverage key/non-key scores in O(1) per inserted entity/relationship —
-  no rescan of the data;
+* :class:`IncrementalEntityGraph` wraps an :class:`EntityGraph` whose
+  :class:`~repro.model.mutation_log.MutationLog` records, per mutation,
+  the key types and relationship types it dirtied and whether it changed
+  the schema graph itself (a *structural* mutation).  Writes are plain
+  calls into the graph; the changelog is the only way a write reaches
+  the wrapper's state, whether it came through the wrapper or straight
+  to :attr:`IncrementalEntityGraph.entity_graph`;
+* every read (:attr:`~IncrementalEntityGraph.schema`,
+  :meth:`~IncrementalEntityGraph.context`, the coverage accessors)
+  first runs one refresh, which folds the changelog since its cursor
+  into one :class:`~repro.model.mutation_log.MutationDelta` and repairs
+  the derived state at one of three granularities:
+
+  * **none** — an empty delta (pure no-op mutations): everything is kept;
+  * **type-scoped** — a non-structural delta: the dirty types' and
+    relationship types' counts are copied from the graph into the schema
+    graph in place (its distance oracle survives), and delta-capable
+    :class:`ScoringContext`\\ s (coverage) are *patched* — only dirty
+    types re-scored, candidate-pool rows shared for the rest — while the
+    other contexts (random walk, entropy: global measures) are dropped
+    and rebuild lazily on their next request;
+  * **full** — a structural delta, or a baseline older than the
+    changelog window: the schema graph is re-derived from the entity
+    graph and every context is dropped;
+
 * a *generation* counter invalidates any cached discovery result, making
   the paper's "previews cannot be incrementally updated" explicit in the
   API: callers re-run discovery (cheap — Fig. 8) against fresh scores.
-  The counter is the invalidation signal for the query-engine layer:
   :meth:`IncrementalEntityGraph.engine` returns a
-  :class:`~repro.engine.PreviewEngine` bound to this graph, whose
-  memoized results and sweep artifacts are dropped automatically the
-  moment a mutation bumps the generation.
-
-Since the delta-pipeline refactor the invalidation signal is no longer
-just a counter: the underlying graph's
-:class:`~repro.model.mutation_log.MutationLog` records *which* key types
-and relationship types every mutation dirtied, and whether the schema
-graph itself changed (a *structural* mutation).  Downstream caches
-consume that changelog through :meth:`IncrementalEntityGraph.dirty_since`
-at three granularities:
-
-* **none** — an empty delta (pure no-op mutations): every cache is kept;
-* **type-scoped** — a non-structural delta with delta-capable scorers
-  (coverage): cached :class:`ScoringContext`\\ s are *patched* in
-  O(delta) (only dirty types re-scored, candidate-pool rows shared for
-  the rest), and the engine evicts only the memo entries whose key-type
-  dependency set intersects the dirty types;
-* **full** — structural mutations, non-delta scorers (random walk,
-  entropy) or a baseline older than the changelog window: the affected
-  context is rebuilt and the engine drops everything, exactly the seed
-  behavior.
-
-Random-walk and entropy measures are recomputed lazily on demand: both
-are global fixed-point/histogram computations without an exact O(1)
-delta form; the wrapper tracks dirtiness so the recomputation happens at
-most once per batch of updates.
+  :class:`~repro.engine.PreviewEngine` bound to this graph, which reads
+  the same changelog through :meth:`IncrementalEntityGraph.dirty_since`
+  to evict only the memo entries a delta can have changed.
 """
 
 from __future__ import annotations
@@ -50,6 +45,7 @@ from typing import Dict, Iterable, Optional
 
 from ..core.preview import DiscoveryResult
 from ..engine import PreviewEngine
+from ..exceptions import UnknownRelationshipTypeError, UnknownTypeError
 from ..model.entity_graph import EntityGraph
 from ..model.ids import EntityId, RelationshipTypeId, TypeId
 from ..model.mutation_log import MutationDelta, MutationLog
@@ -58,27 +54,15 @@ from ..scoring.preview_score import ScoringContext
 
 
 class IncrementalEntityGraph:
-    """An entity graph with incrementally maintained schema and scores."""
+    """An entity graph whose schema and scores follow its changelog."""
 
     def __init__(self, base: Optional[EntityGraph] = None, name: str = "incremental") -> None:
         self._graph = base if base is not None else EntityGraph(name=name)
         self._schema = SchemaGraph.from_entity_graph(self._graph)
-        #: Coverage scores maintained exactly under mutation.
-        self._key_coverage: Dict[TypeId, int] = {
-            t: self._graph.type_count(t) for t in self._graph.entity_types()
-        }
-        self._nonkey_coverage: Dict[RelationshipTypeId, int] = {
-            r: self._graph.relationship_count(r)
-            for r in self._graph.relationship_types()
-        }
-        #: (key_scorer, nonkey_scorer) -> context; patched or rebuilt
-        #: per combo when the generation moves (see :meth:`context`).
-        self._cached_contexts: Dict[tuple, ScoringContext] = {}
-        self._cached_context_generation = self.generation
-        #: Last generation folded into _key_coverage/_nonkey_coverage/
-        #: _schema (tracks direct-graph mutations; see
-        #: :meth:`_reconcile_aggregates`).
-        self._aggregate_generation = self.generation
+        #: (key_scorer, nonkey_scorer) -> context, current as of _generation.
+        self._contexts: Dict[tuple, ScoringContext] = {}
+        #: The refresh cursor: the generation the schema and contexts reflect.
+        self._generation = self.generation
         self._engines: Dict[tuple, PreviewEngine] = {}
 
     # ------------------------------------------------------------------
@@ -88,36 +72,21 @@ class IncrementalEntityGraph:
     def entity_graph(self) -> EntityGraph:
         """The wrapped (live) entity graph.
 
-        Mutating it directly is allowed: the changelog observes every
-        mutation, and the next read reconciles the maintained
-        aggregates — but mutations through the wrapper's
-        :meth:`add_entity` / :meth:`add_relationship` fold their deltas
-        eagerly and are cheaper.
+        Mutating it directly is allowed and costs the same as mutating
+        through the wrapper: the changelog observes every mutation, and
+        the next read folds it in.
         """
         return self._graph
 
     @property
     def schema(self) -> SchemaGraph:
-        """The maintained schema graph, reconciled with the changelog.
-
-        Reconciling first means mutations applied to the wrapped graph
-        directly are folded in (or, for structural ones, the schema is
-        re-derived) before anything is built from it.
-        """
-        self._reconcile_aggregates()
+        """The schema graph, refreshed from the changelog first."""
+        self._refresh()
         return self._schema
 
     @property
     def generation(self) -> int:
-        """The underlying graph's mutation counter (cache epoch).
-
-        Delegates to the graph's :class:`MutationLog`, so mutations
-        applied to the wrapped :class:`EntityGraph` directly are
-        observed too: the next refresh reconciles the maintained
-        coverage aggregates (and, for structural changes, re-derives
-        the schema graph) from the changelog before any context is
-        patched or rebuilt.
-        """
+        """The underlying graph's mutation counter (cache epoch)."""
         return self._graph.mutation_log.generation
 
     @property
@@ -136,20 +105,24 @@ class IncrementalEntityGraph:
         return self._graph.mutation_log.dirty_since(generation)
 
     def key_coverage(self, type_name: TypeId) -> int:
-        """``Scov(τ)`` maintained incrementally (0 for unknown types)."""
-        self._reconcile_aggregates()
-        return self._key_coverage.get(type_name, 0)
+        """``Scov(τ)`` from the refreshed schema (0 for unknown types)."""
+        try:
+            return self.schema.entity_count(type_name)
+        except UnknownTypeError:
+            return 0
 
     def nonkey_coverage(self, rel_type: RelationshipTypeId) -> int:
-        """``Sτcov(γ)`` maintained incrementally (0 for unknown types)."""
-        self._reconcile_aggregates()
-        return self._nonkey_coverage.get(rel_type, 0)
+        """``Sτcov(γ)`` from the refreshed schema (0 for unknown types)."""
+        try:
+            return self.schema.relationship_count(rel_type)
+        except UnknownRelationshipTypeError:
+            return 0
 
     # ------------------------------------------------------------------
-    # Mutation (O(1) score maintenance)
+    # Mutation (recorded by the graph's changelog, folded on next read)
     # ------------------------------------------------------------------
     def add_entity(self, entity: EntityId, types: Iterable[TypeId]) -> None:
-        """Add ``entity`` with ``types``, maintaining scores in O(1).
+        """Add ``entity`` with ``types`` to the wrapped graph.
 
         Parameters
         ----------
@@ -165,28 +138,12 @@ class IncrementalEntityGraph:
         SchemaViolationError
             If ``types`` is empty.
         """
-        type_list = list(types)
-        known_before = (
-            self._graph.types_of(entity) if self._graph.has_entity(entity) else frozenset()
-        )
-        synced = self._aggregate_generation == self.generation
-        self._graph.add_entity(entity, type_list)
-        # Deterministic list order (not set order), matching the order
-        # the graph itself registers first-seen types in.
-        for type_name in dict.fromkeys(type_list):
-            if type_name in known_before:
-                continue
-            self._key_coverage[type_name] = self._key_coverage.get(type_name, 0) + 1
-            self._schema.add_entity_type(
-                type_name, entity_count=self._key_coverage[type_name]
-            )
-        if synced:  # this call folded its own delta: advance the cursor
-            self._aggregate_generation = self.generation
+        self._graph.add_entity(entity, types)
 
     def add_relationship(
         self, source: EntityId, target: EntityId, rel_type: RelationshipTypeId
     ) -> None:
-        """Add one ``rel_type`` instance, maintaining scores in O(1).
+        """Add one ``rel_type`` instance to the wrapped graph.
 
         Parameters
         ----------
@@ -205,12 +162,7 @@ class IncrementalEntityGraph:
         SchemaViolationError
             If an endpoint lacks the type the signature requires.
         """
-        synced = self._aggregate_generation == self.generation
         self._graph.add_relationship(source, target, rel_type)
-        self._nonkey_coverage[rel_type] = self._nonkey_coverage.get(rel_type, 0) + 1
-        self._schema.add_relationship_type(rel_type, edge_count=1)
-        if synced:  # this call folded its own delta: advance the cursor
-            self._aggregate_generation = self.generation
 
     # ------------------------------------------------------------------
     # Discovery (never incremental — by design, matching the paper)
@@ -220,19 +172,13 @@ class IncrementalEntityGraph:
     ) -> ScoringContext:
         """A scoring context current with the latest generation.
 
-        Coverage contexts are *patched* in O(delta) across non-structural
-        mutations (only the changelog's dirty types are re-scored; every
-        other type shares its sorted candidates, weighted scores and
-        prefix tables with the previous generation's context — see
-        :meth:`ScoringContext.patched`).  Random-walk/entropy contexts
-        trigger their lazy global recomputation here, and structural
-        mutations rebuild from scratch; in both fallback cases only the
-        affected (key_scorer, nonkey_scorer) entry is evicted, never the
-        whole combo cache.
+        Coverage contexts are *patched* across non-structural mutations
+        (see :meth:`ScoringContext.patched`); any other context, or any
+        context after a structural mutation, is built afresh on request.
         """
-        self._refresh_contexts()
+        self._refresh()
         cache_key = (key_scorer, nonkey_scorer)
-        context = self._cached_contexts.get(cache_key)
+        context = self._contexts.get(cache_key)
         if context is None:
             context = ScoringContext(
                 self._schema,
@@ -240,85 +186,42 @@ class IncrementalEntityGraph:
                 key_scorer=key_scorer,
                 nonkey_scorer=nonkey_scorer,
             )
-            self._cached_contexts[cache_key] = context
+            self._contexts[cache_key] = context
         return context
 
-    def _refresh_contexts(self) -> None:
-        """Bring every cached scorer-combo context up to this generation.
+    def _refresh(self) -> None:
+        """Fold the changelog since the cursor into the schema and contexts.
 
-        Three granularities, decided by the mutation changelog:
-
-        * empty delta — no scores moved; every cached context is exact
-          already and is kept untouched;
-        * patchable delta — delta-capable combos are patched in
-          O(delta); non-capable ones are dropped *individually* (they
-          rebuild lazily on next request);
-        * structural/overflowed delta — every cached context is stale in
-          ways patching cannot express; drop them all.
+        A patchable delta only ever raises counts of types and
+        relationship types the schema already holds, so copying them
+        moves no vertex, edge or order.  A structural delta re-derives
+        the schema in the graph's first-seen order; its ``key_types``
+        (a frozenset) are never folded in, since new types would then
+        enter in hash order and move tie-breaks.
         """
         generation = self.generation
-        if self._cached_context_generation == generation:
+        if self._generation == generation:
             return
-        # Aggregates first: a context can only be patched (or rebuilt)
-        # against reconciled schema counts.
-        self._reconcile_aggregates()
-        delta = self._graph.mutation_log.dirty_since(
-            self._cached_context_generation
-        )
-        if delta.empty:
-            pass
-        elif delta.patchable:
-            self._cached_contexts = {
+        delta = self._graph.mutation_log.dirty_since(self._generation)
+        if not delta.patchable:
+            self._schema = SchemaGraph.from_entity_graph(self._graph)
+            self._contexts = {}
+        elif not delta.empty:
+            graph, schema = self._graph, self._schema
+            for type_name in delta.key_types:
+                schema.add_entity_type(type_name, entity_count=graph.type_count(type_name))
+            for rel_type in delta.rel_types:
+                schema.add_relationship_type(
+                    rel_type,
+                    edge_count=graph.relationship_count(rel_type)
+                    - schema.relationship_count(rel_type),
+                )
+            self._contexts = {
                 cache_key: context.patched(delta.key_types)
-                for cache_key, context in self._cached_contexts.items()
+                for cache_key, context in self._contexts.items()
                 if context.supports_delta
             }
-        else:
-            self._cached_contexts.clear()
-        self._cached_context_generation = generation
-
-    def _reconcile_aggregates(self) -> None:
-        """Reconcile maintained counts with the graph's changelog.
-
-        The cheap half of a refresh (no context patching): idempotent
-        for mutations that came through this wrapper — they folded
-        their counts in eagerly — it exists to absorb mutations applied
-        to the wrapped graph *directly*, which the changelog observes
-        but the eager per-call maintenance never saw.  Structural (or
-        window-overflowed) deltas re-derive schema and counts from the
-        graph in O(schema).
-        """
-        generation = self.generation
-        if self._aggregate_generation == generation:
-            return
-        delta = self._graph.mutation_log.dirty_since(self._aggregate_generation)
-        if delta.patchable:
-            for type_name in delta.key_types:
-                count = self._graph.type_count(type_name)
-                if self._key_coverage.get(type_name) != count:
-                    self._key_coverage[type_name] = count
-                    self._schema.add_entity_type(type_name, entity_count=count)
-            for rel_type in delta.rel_types:
-                count = self._graph.relationship_count(rel_type)
-                if self._nonkey_coverage.get(rel_type) != count:
-                    self._nonkey_coverage[rel_type] = count
-                    # Non-structural deltas only ever *increment* known
-                    # relationship types: apply the difference.
-                    self._schema.add_relationship_type(
-                        rel_type,
-                        edge_count=count
-                        - self._schema.relationship_count(rel_type),
-                    )
-        elif not delta.empty:
-            self._schema = SchemaGraph.from_entity_graph(self._graph)
-            self._key_coverage = {
-                t: self._graph.type_count(t) for t in self._graph.entity_types()
-            }
-            self._nonkey_coverage = {
-                r: self._graph.relationship_count(r)
-                for r in self._graph.relationship_types()
-            }
-        self._aggregate_generation = generation
+        self._generation = generation
 
     def engine(
         self, key_scorer: str = "coverage", nonkey_scorer: str = "coverage"
@@ -328,7 +231,8 @@ class IncrementalEntityGraph:
         One engine per scorer pair is kept alive for the graph's
         lifetime, so repeated queries between mutations hit its memo
         cache; any mutation bumps :attr:`generation`, which the engine
-        observes and uses to drop every cached result.
+        observes and answers by reading :meth:`dirty_since` and evicting
+        the cached results the delta can have changed.
         """
         cache_key = (key_scorer, nonkey_scorer)
         engine = self._engines.get(cache_key)
@@ -343,48 +247,34 @@ class IncrementalEntityGraph:
         """Run discovery against up-to-date scores.
 
         Optimal previews cannot be patched in place (Sec. 5), so this
-        always re-solves — against incrementally maintained aggregates,
-        through the generation-aware engine (a repeat of an unchanged
-        query between mutations is answered from its cache).
+        always re-solves — against the refreshed scores, through the
+        generation-aware engine (a repeat of an unchanged query between
+        mutations is answered from its cache).
         """
         key_scorer = kwargs.pop("key_scorer", "coverage")
         nonkey_scorer = kwargs.pop("nonkey_scorer", "coverage")
         return self.engine(key_scorer, nonkey_scorer).query(k=k, n=n, **kwargs)
 
     def verify_against_rescan(self, check_pools: bool = True) -> bool:
-        """Cross-check incremental aggregates against a full rescan.
+        """Cross-check the refreshed state against a full rescan.
 
-        Test/debug helper: returns True when every maintained count
-        matches a freshly derived schema graph, *and* (with
-        ``check_pools``, the default) when every cached scorer-combo
-        context's :class:`~repro.scoring.CandidatePool` — the
-        delta-patched flat arrays every discovery algorithm reads — is
-        exactly equal to one built from scratch over the rescanned
-        schema: same type order, key scores, sorted candidate lists
-        with raw/weighted scores, prefix-sum tables and eligible set.
-        Floats are compared exactly, not approximately: the delta path
-        promises bit-identical state.
+        Test/debug helper: returns True when the schema graph holds
+        exactly the types, relationship types and counts of a freshly
+        derived one, in the same order, *and* (with ``check_pools``,
+        the default) when every cached scorer-combo context's
+        :class:`~repro.scoring.CandidatePool` — the delta-patched flat
+        arrays every discovery algorithm reads — equals one built from
+        scratch over the rescanned schema: same type order, key scores,
+        sorted candidate lists with raw/weighted scores, prefix-sum
+        tables and eligible set.  Floats are compared exactly, not
+        approximately: the delta path promises bit-identical state.
         """
         fresh = SchemaGraph.from_entity_graph(self._graph)
-        for type_name in fresh.entity_types():
-            if self._key_coverage.get(type_name, 0) != fresh.entity_count(type_name):
-                return False
-            if self._schema.entity_count(type_name) != fresh.entity_count(type_name):
-                return False
-        for rel_type in fresh.relationship_types():
-            if self._nonkey_coverage.get(rel_type, 0) != fresh.relationship_count(
-                rel_type
-            ):
-                return False
-            if self._schema.relationship_count(rel_type) != fresh.relationship_count(
-                rel_type
-            ):
-                return False
+        if _schema_counts(self.schema) != _schema_counts(fresh):
+            return False
         if not check_pools:
             return True
-        self._refresh_contexts()
-        combos = list(self._cached_contexts) or [("coverage", "coverage")]
-        for key_scorer, nonkey_scorer in combos:
+        for key_scorer, nonkey_scorer in list(self._contexts) or [("coverage", "coverage")]:
             maintained = self.context(key_scorer, nonkey_scorer).candidate_pool()
             rebuilt = ScoringContext(
                 fresh,
@@ -398,3 +288,11 @@ class IncrementalEntityGraph:
             if maintained != rebuilt:
                 return False
         return True
+
+
+def _schema_counts(schema: SchemaGraph):
+    """Every type and relationship type with its count, in schema order."""
+    return (
+        [(t, schema.entity_count(t)) for t in schema.entity_types()],
+        [(r, schema.relationship_count(r)) for r in schema.relationship_types()],
+    )

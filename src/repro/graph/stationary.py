@@ -10,10 +10,17 @@ and, to guarantee convergence on disconnected schema graphs, adds "a small
 transition probability 1e-5 to every pair of entity types" (Sec. 6).  We
 implement exactly that additive smoothing followed by row normalization,
 then solve ``pi = pi M`` by power iteration.
+
+Every float sum here runs left to right (``functools.reduce``), never
+through builtin ``sum``, which compensates float sums since Python 3.12:
+the distribution's bits, and so the random-walk scores, would otherwise
+depend on the interpreter.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Dict, Hashable, List, Sequence
 
 from ..exceptions import GraphError
@@ -56,7 +63,7 @@ def transition_matrix(
                 row.append(graph.weight(u, v) if self_loops else 0.0)
             else:
                 row.append(graph.weight(u, v) + jump_probability)
-        total = sum(row)
+        total = reduce(add, row, 0)
         if total <= 0.0:
             # Isolated node with zero smoothing: make the row uniform over
             # the other nodes so the chain remains stochastic.
@@ -93,10 +100,10 @@ def power_iteration(
             for j, m in enumerate(row):
                 if m:
                     nxt[j] += p * m
-        total = sum(nxt)
+        total = reduce(add, nxt, 0)
         if total > 0:
             nxt = [value / total for value in nxt]
-        delta = sum(abs(a - b) for a, b in zip(nxt, pi))
+        delta = reduce(add, (abs(a - b) for a, b in zip(nxt, pi)), 0)
         pi = nxt
         if delta < tolerance:
             return pi

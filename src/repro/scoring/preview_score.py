@@ -26,6 +26,8 @@ array layout and conventions.
 from __future__ import annotations
 
 import copy
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import ScoringError
@@ -83,17 +85,9 @@ class ScoringContext:
         self._key_scores: Dict[TypeId, float] = self._key_scorer.score_all(
             schema, entity_graph
         )
-        self._nonkey_scores: Dict[TypeId, Dict[NonKeyAttribute, float]] = {}
-        self._sorted_candidates: Dict[TypeId, List[Tuple[NonKeyAttribute, float]]] = {}
-        for type_name in schema.entity_types():
-            scores = self._nonkey_scorer.score_candidates(
-                type_name, schema, entity_graph
-            )
-            self._nonkey_scores[type_name] = scores
-            ranked = sorted(
-                scores.items(), key=lambda item: (-item[1], str(item[0]))
-            )
-            self._sorted_candidates[type_name] = ranked
+        self._sorted_candidates: Dict[TypeId, List[Tuple[NonKeyAttribute, float]]] = {
+            type_name: self._ranked(type_name) for type_name in schema.entity_types()
+        }
         self._pool: Optional[CandidatePool] = None
 
     # ------------------------------------------------------------------
@@ -128,9 +122,9 @@ class ScoringContext:
 
         The O(delta) sibling of ``__init__`` for *non-structural*
         mutations (no new entity types or relationship types): untouched
-        types share their score dictionaries, ranked candidate lists and
-        candidate-pool rows with this context, so cost scales with the
-        dirty set, not the schema.  Requires :attr:`supports_delta`; the
+        types share their ranked candidate lists and candidate-pool rows
+        with this context, so cost scales with the dirty set, not the
+        schema.  Requires :attr:`supports_delta`; the
         caller (see :meth:`repro.ext.incremental.IncrementalEntityGraph.context`)
         is responsible for routing structural deltas to a full rebuild.
         """
@@ -156,22 +150,22 @@ class ScoringContext:
         clone._key_scores.update(
             self._key_scorer.score_types(dirty, self.schema, self.entity_graph)
         )
-        clone._nonkey_scores = dict(self._nonkey_scores)
         clone._sorted_candidates = dict(self._sorted_candidates)
         for type_name in dirty:
-            scores = self._nonkey_scorer.score_candidates(
-                type_name, self.schema, self.entity_graph
-            )
-            clone._nonkey_scores[type_name] = scores
-            clone._sorted_candidates[type_name] = sorted(
-                scores.items(), key=lambda item: (-item[1], str(item[0]))
-            )
+            clone._sorted_candidates[type_name] = self._ranked(type_name)
         # Patch the pool only if this context ever built one; otherwise
         # stay lazy and let the clone build it on first use.
         clone._pool = (
             self._pool.patched(dirty, clone) if self._pool is not None else None
         )
         return clone
+
+    def _ranked(self, type_name: TypeId) -> List[Tuple[NonKeyAttribute, float]]:
+        """``Γτ`` scored against the current schema, best first."""
+        scores = self._nonkey_scorer.score_candidates(
+            type_name, self.schema, self.entity_graph
+        )
+        return sorted(scores.items(), key=lambda item: (-item[1], str(item[0])))
 
     # ------------------------------------------------------------------
     # Scores
@@ -190,13 +184,20 @@ class ScoringContext:
         return dict(self._key_scores)
 
     def nonkey_score(self, key_type: TypeId, attribute: NonKeyAttribute) -> float:
-        """``Sτ(γ)`` — the non-key attribute score relative to ``key_type``."""
-        try:
-            return self._nonkey_scores[key_type][attribute]
-        except KeyError:
-            raise ScoringError(
-                f"{attribute} is not a candidate attribute of {key_type!r}"
-            ) from None
+        """``Sτ(γ)`` — the non-key attribute score relative to ``key_type``.
+
+        A scan of the ranked row: discovered tables hold its own
+        attribute objects, near its front, so an identity pass finds
+        them without the dataclass ``==`` an equal copy needs.
+        """
+        ranked = self._sorted_candidates.get(key_type, ())
+        for candidate, score in ranked:
+            if candidate is attribute:
+                return score
+        for candidate, score in ranked:
+            if candidate == attribute:
+                return score
+        raise ScoringError(f"{attribute} is not a candidate attribute of {key_type!r}")
 
     def sorted_candidates(self, key_type: TypeId) -> List[Tuple[NonKeyAttribute, float]]:
         """``Γτ`` sorted by descending score (ties broken lexically).
@@ -262,8 +263,14 @@ class ScoringContext:
     def preview_score(
         self, tables: Iterable[Tuple[TypeId, Iterable[NonKeyAttribute]]]
     ) -> float:
-        """``S(P) = Σ S(P[i])`` (Eq. 1) over ``(key, attributes)`` pairs."""
-        return sum(
-            self.table_score(key_type, attributes)
-            for key_type, attributes in tables
+        """``S(P) = Σ S(P[i])`` (Eq. 1) over ``(key, attributes)`` pairs.
+
+        Summed left to right: builtin ``sum`` compensates float sums
+        since Python 3.12, which would make the score's bits depend on
+        the interpreter.
+        """
+        return reduce(
+            add,
+            (self.table_score(key_type, attributes) for key_type, attributes in tables),
+            0,
         )

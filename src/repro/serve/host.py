@@ -135,7 +135,9 @@ def parse_mutation(params: Dict[str, Any]):
     Raises
     ------
     ProtocolError
-        With code ``bad-request`` for a malformed params dict.
+        With code ``bad-request`` for a malformed params dict, including
+        a name that cannot be encoded as UTF-8 (a lone surrogate, which
+        JSON can carry but no store, fingerprint or dataset file can).
     """
     kind = _require(params, "kind", str, "string")
     if kind == "entity":
@@ -149,16 +151,29 @@ def parse_mutation(params: Dict[str, Any]):
             raise ProtocolError(
                 "bad-request", "param 'types' must be a non-empty string array"
             )
+        _require_utf8(entity, *types)
         return kind, (entity, types)
     if kind == "relationship":
         fields = tuple(
             _require(params, name, str, "string")
             for name in ("source", "target", "name", "source_type", "target_type")
         )
+        _require_utf8(*fields)
         return kind, fields
     raise ProtocolError(
         "bad-request", f"param 'kind' must be 'entity' or 'relationship', got {kind!r}"
     )
+
+
+def _require_utf8(*names: str) -> None:
+    """Raise ``bad-request`` unless every name encodes as UTF-8."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProtocolError(
+                "bad-request", f"name {name!r} cannot be encoded as UTF-8"
+            ) from None
 
 
 def apply_mutation(graph, kind: str, fields) -> int:

@@ -132,15 +132,21 @@ class LineService:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting and drop every open connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting and drop every open connection.
+
+        The handlers are cancelled before the server is awaited: since
+        Python 3.12 ``Server.wait_closed`` waits for every connection to
+        close, so awaiting it first would hang on any idle client.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # Connections

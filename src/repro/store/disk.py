@@ -134,6 +134,12 @@ def encode_store(graph: EntityGraph) -> bytes:
     verified fingerprint), and the header seals the whole image with a
     CRC-32.  :func:`build_store` writes this image to a file; a writer
     ships it base64-encoded to bootstrap a replica.
+
+    Raises
+    ------
+    DiskStoreError
+        When a name in ``graph`` cannot be encoded as UTF-8 (a lone
+        surrogate).
     """
     # Lazy: repro.datasets imports repro.store at module scope, so the
     # reverse edge must resolve at call time.
@@ -143,7 +149,6 @@ def encode_store(graph: EntityGraph) -> bytes:
     entities = list(graph.entities())
     relationships = list(graph.relationships())
     reltypes = graph.relationship_types()
-    fingerprint = graph_fingerprint(graph)
 
     strings = set(entities)
     strings.update(type_order)
@@ -152,13 +157,15 @@ def encode_store(graph: EntityGraph) -> bytes:
         strings.update((rel.name, rel.source_type, rel.target_type))
     ordered_strings = sorted(strings)
     sid = {text: i for i, text in enumerate(ordered_strings)}
+    try:
+        fingerprint = graph_fingerprint(graph)
+        blob_parts = [text.encode("utf-8") for text in ordered_strings]
+    except UnicodeEncodeError as exc:
+        raise DiskStoreError(f"cannot encode graph {graph.name!r}: {exc}") from exc
 
-    blob_parts: List[bytes] = []
     dict_offsets = [0]
     position = 0
-    for text in ordered_strings:
-        encoded = text.encode("utf-8")
-        blob_parts.append(encoded)
+    for encoded in blob_parts:
         position += len(encoded)
         dict_offsets.append(position)
     dict_blob = b"".join(blob_parts)
@@ -241,7 +248,8 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
     Raises
     ------
     DiskStoreError
-        When the file cannot be written.
+        When the graph cannot be encoded (see :func:`encode_store`;
+        no file is created then) or the file cannot be written.
     """
     image = encode_store(graph)
     try:

@@ -78,16 +78,19 @@ def _unescape(term: str, location: str = "<term>") -> str:
 def _save(graph: EntityGraph, path: PathLike, line: Callable[[Triple, int], str]) -> int:
     """Write the sorted distinct ``(triple, count)`` rows of ``graph``.
 
-    The rows are encoded before the file is opened, so a graph the codec
-    refuses leaves no file behind.  Returns the number of rows written.
+    The rows are encoded, down to UTF-8 bytes, before the file is opened,
+    so a graph the codec refuses, or a name that is not valid UTF-8 (a
+    lone surrogate), leaves no file behind.  Returns the number of rows
+    written.
     """
     try:
         rows = sorted(Counter(entity_graph_to_triples(graph)).items())
-    except ModelError as exc:
+        payload = "".join(line(triple, count) for triple, count in rows).encode("utf-8")
+    except (ModelError, UnicodeEncodeError) as exc:
         raise PersistenceError(f"cannot write {path!s}: {exc}") from exc
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(line(triple, count) for triple, count in rows)
+        with open(path, "wb") as handle:
+            handle.write(payload)
     except OSError as exc:
         raise PersistenceError(f"cannot write {path!r}: {exc}") from exc
     return len(rows)

@@ -1,17 +1,16 @@
 """Cross-validation of the hand-rolled substrates against networkx/numpy.
 
-The graph substrate is dependency-free by design, but the test
-environment ships networkx and numpy — so we use them as independent
-oracles: BFS distances, connected components, cliques and stationary
-distributions must agree with the reference implementations on random
-inputs.  The text-dataset reader is checked the same way, against a
-brute-force replay of its rows through the validating mutation API.
+The graph substrate is dependency-free by design, but where networkx
+and numpy are installed we use them as independent oracles: BFS
+distances, connected components, cliques and stationary distributions
+must agree with the reference implementations on random inputs.  The
+classes that need them skip without them.  The text-dataset reader is
+checked the same way, against a brute-force replay of its rows through
+the validating mutation API, which needs neither package.
 """
 
 import random
 
-import networkx as nx
-import numpy as np
 import pytest
 
 from repro.graph import (
@@ -28,7 +27,19 @@ from repro.model import EntityGraph, parse_qualified_name
 from repro.store import load_tsv
 
 
-def random_undirected(n, p, seed, weighted=False):
+@pytest.fixture
+def nx():
+    """networkx, or a skip where it is not installed."""
+    return pytest.importorskip("networkx")
+
+
+@pytest.fixture
+def np():
+    """numpy, or a skip where it is not installed."""
+    return pytest.importorskip("numpy")
+
+
+def random_undirected(nx, n, p, seed, weighted=False):
     rng = random.Random(seed)
     ours = UndirectedGraph()
     theirs = nx.Graph()
@@ -46,13 +57,13 @@ def random_undirected(n, p, seed, weighted=False):
 
 @pytest.mark.parametrize("seed", range(6))
 class TestDistancesAgainstNetworkx:
-    def test_single_source_lengths(self, seed):
-        ours, theirs = random_undirected(12, 0.25, seed)
+    def test_single_source_lengths(self, seed, nx):
+        ours, theirs = random_undirected(nx, 12, 0.25, seed)
         expected = dict(nx.single_source_shortest_path_length(theirs, 0))
         assert shortest_path_lengths(ours, 0) == expected
 
-    def test_all_pairs_oracle(self, seed):
-        ours, theirs = random_undirected(10, 0.3, seed)
+    def test_all_pairs_oracle(self, seed, nx):
+        ours, theirs = random_undirected(nx, 10, 0.3, seed)
         oracle = DistanceOracle(ours)
         expected = dict(nx.all_pairs_shortest_path_length(theirs))
         for u in range(10):
@@ -62,20 +73,20 @@ class TestDistancesAgainstNetworkx:
                 else:
                     assert oracle.distance(u, v) == float("inf")
 
-    def test_components(self, seed):
-        ours, theirs = random_undirected(14, 0.12, seed)
+    def test_components(self, seed, nx):
+        ours, theirs = random_undirected(nx, 14, 0.12, seed)
         mine = sorted(sorted(c) for c in connected_components(ours))
         reference = sorted(sorted(c) for c in nx.connected_components(theirs))
         assert sorted(map(tuple, mine)) == sorted(map(tuple, reference))
 
-    def test_diameter_on_connected(self, seed):
-        ours, theirs = random_undirected(9, 0.5, seed)
+    def test_diameter_on_connected(self, seed, nx):
+        ours, theirs = random_undirected(nx, 9, 0.5, seed)
         if not nx.is_connected(theirs):
             pytest.skip("disconnected sample")
         assert diameter(ours) == nx.diameter(theirs)
 
-    def test_cliques(self, seed):
-        ours, theirs = random_undirected(10, 0.4, seed)
+    def test_cliques(self, seed, nx):
+        ours, theirs = random_undirected(nx, 10, 0.4, seed)
 
         def adjacent(u, v):
             return theirs.has_edge(u, v)
@@ -93,8 +104,8 @@ class TestDistancesAgainstNetworkx:
 
 @pytest.mark.parametrize("seed", range(4))
 class TestStationaryAgainstNumpy:
-    def test_matches_eigenvector(self, seed):
-        ours, _theirs = random_undirected(8, 0.5, seed, weighted=True)
+    def test_matches_eigenvector(self, seed, nx, np):
+        ours, _theirs = random_undirected(nx, 8, 0.5, seed, weighted=True)
         nodes = list(ours.nodes())
         matrix = np.array(transition_matrix(ours, nodes, jump_probability=1e-5))
         pi = stationary_distribution(ours, jump_probability=1e-5)
@@ -108,9 +119,9 @@ class TestStationaryAgainstNumpy:
         reference = reference / reference.sum()
         assert np.allclose(vec, reference, atol=1e-6)
 
-    def test_unweighted_walk_proportional_to_degree(self, seed):
+    def test_unweighted_walk_proportional_to_degree(self, seed, nx):
         """On a connected unweighted graph, pi_i ∝ degree(i) exactly."""
-        ours, theirs = random_undirected(8, 0.6, seed)
+        ours, theirs = random_undirected(nx, 8, 0.6, seed)
         if not nx.is_connected(theirs):
             pytest.skip("disconnected sample")
         pi = stationary_distribution(ours, jump_probability=0.0)

@@ -618,6 +618,9 @@ class TestDatasetCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["verified"] is True
         assert summary["fingerprint"] == graph_fingerprint(load_domain_file(text_path))
+        # The graph is named after the file's stem, so stores imported
+        # from different files can be served side by side.
+        assert summary["name"] == "arch"
 
     def test_info_on_damaged_store_errors_cleanly(self, tmp_path, capsys):
         path = tmp_path / f"bad{STORE_EXTENSION}"

@@ -6,7 +6,9 @@ merge), so the property tests compare ``float.hex`` representations, not
 approximate equality.  Coverage:
 
 * hypothesis conformance on synthetic pools drawn from a small score
-  grid (grids force ties, the hardest case for accumulation order);
+  grid (grids force ties, the hardest case for tie-breaks) mixed with
+  non-dyadic scores (whose sums round, the case for accumulation
+  order);
 * explicit lowest-index tie-break and edge batches (empty, singleton,
   all-infeasible, duplicate keys, ``extra_cap=0``);
 * end-to-end conformance of all four discovery algorithms under each
@@ -26,7 +28,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernel, plan
@@ -85,8 +87,18 @@ def hexes(scores):
 # tie-break rules actually matter.
 GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
 
+# Non-dyadic scores: sums of the grid are exact, so any accumulation
+# order reproduces them, but sums of these round, and only the oracle's
+# left-to-right order reproduces its bits (builtin ``sum`` compensates
+# float sums since Python 3.12).
+SCORES = st.one_of(
+    GRID,
+    st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, 2.2, 5981.059007177315]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
 rows_strategy = st.lists(
-    st.lists(GRID, min_size=0, max_size=5).map(
+    st.lists(SCORES, min_size=0, max_size=5).map(
         lambda vals: tuple(sorted(vals, reverse=True))
     ),
     min_size=1,
@@ -118,12 +130,18 @@ def pool_and_batch(draw):
     return source, subsets, extra_cap
 
 
+#: A pool whose one subset sums 0.7 + 0.2 + 0.1: left to right that is
+#: 0.9999999999999999, compensated (builtin ``sum`` on 3.12+) 1.0.
+ROUNDING_CASE = (FakeSource([(0.7, 0.2, 0.1)]), [("T0",)], 2)
+
+
 class TestBatchedMatchesOracle:
     """Property: every batched backend == the per-subset oracle, bit for bit."""
 
     @pytest.mark.parametrize("name", BATCHED)
     @CONFORMANCE
     @given(case=pool_and_batch())
+    @example(case=ROUNDING_CASE)
     def test_batch_scores_bit_identical(self, name, case):
         source, subsets, extra_cap = case
         oracle = kernel.get_backend("oracle")
@@ -139,6 +157,7 @@ class TestBatchedMatchesOracle:
     @pytest.mark.parametrize("name", BATCHED)
     @CONFORMANCE
     @given(case=pool_and_batch())
+    @example(case=ROUNDING_CASE)
     def test_best_allocation_bit_identical(self, name, case):
         source, subsets, extra_cap = case
         oracle = kernel.get_backend("oracle")

@@ -336,6 +336,39 @@ class TestService:
                 )
             assert exc.value.code == "invalid-query"
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"kind": "entity", "entity": "bad\udc80", "types": ["FILM"]},
+            {"kind": "entity", "entity": "Bad Boys", "types": ["FILM\udc80"]},
+            {
+                "kind": "relationship", "source": "Will Smith", "target": "Men in Black",
+                "name": "Actor\udc80", "source_type": "FILM ACTOR", "target_type": "FILM",
+            },
+        ],
+        ids=["entity", "type", "relationship"],
+    )
+    def test_mutation_with_a_name_that_is_not_utf8_is_rejected(self, params):
+        """A lone surrogate is valid JSON, but no store, fingerprint or
+        dataset file can hold it: the write must not land."""
+        with fig1_server() as server, ServeClient(port=server.port) as client:
+            generation = client.preview(k=2, n=4)["generation"]
+            response = client.request("mutate", params)
+            assert response["error"]["code"] == "bad-request"
+            assert "UTF-8" in response["error"]["message"]
+            assert client.preview(k=2, n=4)["generation"] == generation
+
+    def test_stop_returns_promptly_with_an_idle_client_connected(self):
+        """Regression: since Python 3.12 ``Server.wait_closed`` waits for
+        every connection, so closing the server before cancelling the
+        connection handlers hung ``stop()`` while any client stayed open."""
+        with fig1_server() as server, ServeClient(port=server.port) as client:
+            client.health()  # the connection is open, and now idle
+            started = time.monotonic()
+            server.stop(timeout=5.0)
+            assert time.monotonic() - started < 2.0
+            assert not server._thread.is_alive()
+
     def test_coalesced_requests_get_bit_identical_results(self, slow_algorithm):
         with fig1_server() as server:
             barrier = threading.Barrier(2)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.datasets import graph_fingerprint, load_domain_file, save_domain
-from repro.exceptions import ModelError, PersistenceError, StoreError
+from repro.exceptions import DiskStoreError, ModelError, PersistenceError, StoreError
 from repro.model import (
     EntityGraph,
     RelationshipTypeId,
@@ -177,6 +177,18 @@ class TestRowCodec:
         assert not path.exists()
         with pytest.raises(ModelError):
             list(entity_graph_to_triples(g))
+
+    @pytest.mark.parametrize(
+        "ext, error",
+        [("tsv", PersistenceError), ("jsonl", PersistenceError), ("rgs", DiskStoreError)],
+    )
+    def test_name_that_is_not_utf8_fails_before_the_file(self, tmp_path, ext, error):
+        g = EntityGraph(name="surrogate")
+        g.add_entity("bad\udc80", ["ACTOR"])  # a lone surrogate: valid str, not UTF-8
+        path = tmp_path / f"surrogate.{ext}"
+        with pytest.raises(error, match="surrogates not allowed"):
+            save_domain(g, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("ext", EXTENSIONS)
     def test_pipe_in_an_entity_type_alone_round_trips(self, tmp_path, ext):
