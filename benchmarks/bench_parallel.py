@@ -5,13 +5,16 @@ ComputePreview each, keep the max" — on the music domain (the largest
 efficiency-experiment domain) two ways and records both wall times:
 
 * **serial** — ``apriori_discover`` / ``brute_force_discover`` with no
-  executor, the seed behavior;
-* **sharded** — the same calls, each handed a fresh 4-worker
-  :class:`~repro.parallel.ShardedExecutor` (so every point pays its own
-  pool start, as a one-shot caller does): the qualifying-subset list is
+  executor (``jobs=1``, the serial path) and no forced planner mode;
+* **sharded** — the same calls, all handed one warm 4-worker
+  :class:`~repro.parallel.ShardedExecutor` per leg, started and given
+  one untimed dispatch before the clock, as serve hosts and the
+  explore-grid workload keep theirs: the qualifying-subset list is
   chunked across worker processes, each worker scores its shard against
   a picklable :class:`~repro.parallel.ScoringSnapshot`, and the parent
-  materializes the winner (see :mod:`repro.parallel`).
+  materializes the winner (see :mod:`repro.parallel`).  No point pays
+  a pool start, so the leg measures where sharding pays, not process
+  start-up.
 
 The Fig. 9-style grid leans on the constraint the paper itself flags as
 expensive (tight ``d=3`` at ``k=4``: ~250k qualifying subsets on music),
@@ -19,11 +22,10 @@ where per-subset allocation dominates and sharding pays off; the cheap
 points document that tiny workloads do not.
 
 Asserts the sharded results are *bit-identical* to serial at every
-point (always), and that sharding is at least 2x faster.  The legs pin
-the execution planner (``REPRO_PLAN``-style forcing via
-:func:`repro.plan.use_mode`) so each measures what it claims: the
-serial leg under ``serial``, the sharded leg under ``sharded``.  On a
-single-core box the planner's affinity veto
+point (always), and that sharding is at least 2x faster.  The sharded
+leg pins the execution planner to ``sharded`` (``REPRO_PLAN``-style
+forcing via :func:`repro.plan.use_mode`) so every point crosses the
+pool.  On a single-core box the planner's affinity veto
 (``vetoed_single_core: true`` in the record) makes worker processes
 pure overhead, so the speedup floor is *skipped* there instead of
 asserted — a wall-clock claim about parallel hardware is unfalsifiable
@@ -35,6 +37,7 @@ Run directly (``PYTHONPATH=src python benchmarks/bench_parallel.py``)
 or through pytest (``pytest benchmarks/bench_parallel.py``).
 """
 
+import contextlib
 import json
 import sys
 import time
@@ -74,24 +77,21 @@ BRUTE_FORCE_POINTS = (
 )
 
 
-def run_points(context, discover, points, jobs, mode_name):
-    """Time one leg with the planner pinned to ``mode_name``."""
+def run_points(context, discover, points, executor=None):
+    """Time one leg: serial without ``executor``, forced sharded with it."""
     results = []
     before = plan.decision_counts()
-    with plan.use_mode(mode_name):
+    forced = (
+        plan.use_mode("sharded") if executor is not None else contextlib.nullcontext()
+    )
+    with forced:
         start = time.perf_counter()
         for k, n, d, mode in points:
             size = SizeConstraint(k=k, n=n)
             distance = (
                 DistanceConstraint.from_mode(d, mode) if d is not None else None
             )
-            if jobs == 1:
-                results.append(discover(context, size, distance))
-                continue
-            with ShardedExecutor(jobs) as executor:
-                results.append(
-                    discover(context, size, distance, executor=executor)
-                )
+            results.append(discover(context, size, distance, executor=executor))
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     after = plan.decision_counts()
     decisions = {
@@ -110,13 +110,21 @@ def compare(points, serial_results, sharded_results):
     return mismatches
 
 
+def warm_up(executor, context):
+    """Start ``executor``'s workers with one small untimed dispatch."""
+    pool = context.candidate_pool()
+    executor.best_allocation(pool, [(key,) for key in pool.eligible[:JOBS]], 1)
+
+
 def bench_leg(name, context, discover, points):
     serial_ms, serial_results, serial_decisions = run_points(
-        context, discover, points, jobs=1, mode_name="serial"
+        context, discover, points
     )
-    sharded_ms, sharded_results, sharded_decisions = run_points(
-        context, discover, points, jobs=JOBS, mode_name="sharded"
-    )
+    with ShardedExecutor(JOBS) as executor:
+        warm_up(executor, context)
+        sharded_ms, sharded_results, sharded_decisions = run_points(
+            context, discover, points, executor=executor
+        )
     speedup = serial_ms / sharded_ms if sharded_ms > 0 else float("inf")
     return {
         "algorithm": name,

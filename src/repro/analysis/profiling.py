@@ -95,7 +95,7 @@ class DatasetProfile:
 
 def schema_topology(schema: SchemaGraph) -> SchemaTopology:
     """Compute the schema graph's topological profile."""
-    graph = schema.multigraph()
+    graph = schema.undirected_weighted()
     oracle = schema.distance_oracle()
     types = schema.entity_types()
     histogram: Counter = Counter()

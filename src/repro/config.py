@@ -77,7 +77,7 @@ RESULTS_DIR = _declare(
 PLAN = _declare(
     "REPRO_PLAN",
     "auto",
-    "execution planner mode: auto | serial | sharded",
+    "execution planner mode: auto | sharded",
 )
 REPLICATION_WINDOW = _declare(
     "REPRO_REPLICATION_WINDOW",

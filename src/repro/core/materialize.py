@@ -31,10 +31,6 @@ class MaterializedRow:
     key_entity: EntityId
     values: Tuple[FrozenSet[EntityId], ...]
 
-    def value_for(self, index: int) -> FrozenSet[EntityId]:
-        """The entity-id set shown at row ``index``."""
-        return self.values[index]
-
 
 @dataclass(frozen=True)
 class MaterializedTable:

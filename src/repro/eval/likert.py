@@ -103,10 +103,6 @@ class LikertResponse:
 
     scores: Tuple[int, int, int, int]
 
-    def score_for(self, question: str) -> int:
-        """The recorded 1-5 response for ``question``."""
-        return self.scores[QUESTION_KEYS.index(question)]
-
 
 def simulate_response(approach: str, rng: random.Random) -> LikertResponse:
     """Draw one participant's Q1-Q4 answers for ``approach``."""

@@ -23,10 +23,6 @@ class NodeNotFoundError(GraphError):
         self.node = node
 
 
-class EdgeNotFoundError(GraphError):
-    """A referenced edge does not exist in the graph."""
-
-
 class ModelError(ReproError):
     """Errors raised by the entity-graph data model (``repro.model``)."""
 

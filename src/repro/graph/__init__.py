@@ -1,8 +1,10 @@
-"""Graph substrate: multigraphs, traversal, random walks, cliques.
+"""Graph substrate: the undirected type graph, traversal, random walks,
+cliques.
 
-This subpackage is self-contained (no third-party dependencies) and
-provides the structures the entity-graph data model and the preview
-discovery algorithms are built on.
+This subpackage is self-contained (no third-party dependencies).  The
+schema graph derives one :class:`UndirectedGraph` from its count tables;
+the random-walk scorer walks it, and traversal, components and the
+:class:`DistanceOracle` of tight/diverse previews run over it.
 """
 
 from .cliques import (
@@ -13,7 +15,6 @@ from .cliques import (
 )
 from .components import connected_components, is_connected, largest_component
 from .distance import INFINITY, DistanceOracle
-from .multigraph import DirectedMultigraph
 from .simple import UndirectedGraph
 from .stationary import (
     DEFAULT_JUMP_PROBABILITY,
@@ -35,7 +36,6 @@ __all__ = [
     "CLIQUE_BACKENDS",
     "DEFAULT_JUMP_PROBABILITY",
     "INFINITY",
-    "DirectedMultigraph",
     "DistanceOracle",
     "UndirectedGraph",
     "all_pairs_shortest_paths",

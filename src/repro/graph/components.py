@@ -1,4 +1,4 @@
-"""Connected components on the undirected view of a graph.
+"""Connected components of an undirected graph.
 
 Schema graphs may be disconnected (Sec. 6 of the paper notes this when
 motivating the random-walk smoothing term), so both the random-walk scorer
@@ -7,18 +7,16 @@ and the dataset generators need component analysis.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Set, Union
+from typing import Hashable, List, Set
 
-from .multigraph import DirectedMultigraph
 from .simple import UndirectedGraph
 from .traversal import bfs_order
 
 Node = Hashable
-AnyGraph = Union[DirectedMultigraph, UndirectedGraph]
 
 
-def connected_components(graph: AnyGraph) -> List[Set[Node]]:
-    """Return connected components (undirected view), largest first.
+def connected_components(graph: UndirectedGraph) -> List[Set[Node]]:
+    """Return connected components, largest first.
 
     Ties in size are broken deterministically by insertion order of the
     first node seen in each component.
@@ -35,14 +33,14 @@ def connected_components(graph: AnyGraph) -> List[Set[Node]]:
     return components
 
 
-def is_connected(graph: AnyGraph) -> bool:
+def is_connected(graph: UndirectedGraph) -> bool:
     """True if the graph is non-empty and has a single component."""
     if graph.node_count == 0:
         return False
     return len(connected_components(graph)) == 1
 
 
-def largest_component(graph: AnyGraph) -> Set[Node]:
+def largest_component(graph: UndirectedGraph) -> Set[Node]:
     """The node set of the largest component; empty set for empty graphs."""
     components = connected_components(graph)
     if not components:

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..exceptions import NodeNotFoundError
-from .multigraph import DirectedMultigraph
 from .simple import UndirectedGraph
 from .traversal import all_pairs_shortest_paths
 
 Node = Hashable
-AnyGraph = Union[DirectedMultigraph, UndirectedGraph]
 
 #: Distance reported for mutually unreachable node pairs.
 INFINITY = math.inf
@@ -33,7 +31,7 @@ class DistanceOracle:
     the semantics that follow from the paper's set definitions.
     """
 
-    def __init__(self, graph: AnyGraph) -> None:
+    def __init__(self, graph: UndirectedGraph) -> None:
         self._table: Dict[Node, Dict[Node, int]] = all_pairs_shortest_paths(graph)
         #: ``(nodes, flat table)`` of the last :meth:`dense` call.
         self._dense: Optional[Tuple[Tuple[Node, ...], array]] = None

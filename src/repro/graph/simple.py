@@ -1,12 +1,16 @@
 """A simple undirected graph with optional edge weights.
 
+The schema graph derives one from its relationship-type counts
+(:meth:`~repro.model.schema_graph.SchemaGraph.undirected_weighted`).
 Used by:
 
-* the random-walk scoring measure (Sec. 3.2), which walks an *undirected*
-  weighted graph derived from the schema graph;
-* the distance oracle (shortest undirected path between entity types);
-* the clique-enumeration step of the Apriori-style algorithm (Alg. 3),
-  which operates on a distance-threshold graph.
+* the random-walk scoring measure (Sec. 3.2), which walks it weighted;
+* the distance oracle (shortest undirected path between entity types),
+  which runs one BFS per type over it.
+
+The clique step of the Apriori-style algorithm (Alg. 3) builds no
+graph: it reads pairwise distances from the oracle (under numpy, from
+its dense table, :meth:`~repro.graph.distance.DistanceOracle.dense`).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ class UndirectedGraph:
     """An undirected simple graph with float edge weights.
 
     Adding an edge that already exists accumulates its weight, which is the
-    behaviour needed when folding a directed multigraph: the paper defines
-    ``w_ij`` as the *total* number of entity-graph relationships between the
-    two types, summed over both directions.
+    behaviour needed when folding directed relationship types: the paper
+    defines ``w_ij`` as the *total* number of entity-graph relationships
+    between the two types, summed over both directions.
     """
 
     def __init__(self) -> None:

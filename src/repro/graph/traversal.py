@@ -1,30 +1,24 @@
 """Breadth-first traversal and shortest-path utilities.
 
 The paper's table-distance constraint (Sec. 4) is defined on the *shortest
-undirected path* between two entity types in the schema graph, so all
-distance computations here treat directed inputs as undirected and count
-hops (edges are unweighted for distance purposes).
+undirected path* between two entity types in the schema graph, so every
+function here walks an :class:`~repro.graph.simple.UndirectedGraph` and
+counts hops (edges are unweighted for distance purposes).  Neighbours
+are visited in insertion order, so traversal orders are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterator, List, Optional, Union
+from typing import Dict, Hashable, List, Optional
 
 from ..exceptions import NodeNotFoundError
-from .multigraph import DirectedMultigraph
 from .simple import UndirectedGraph
 
 Node = Hashable
-AnyGraph = Union[DirectedMultigraph, UndirectedGraph]
 
 
-def _undirected_neighbors(graph: AnyGraph, node: Node) -> Iterator[Node]:
-    """Neighbors of ``node`` ignoring edge orientation."""
-    return graph.neighbors(node)
-
-
-def bfs_order(graph: AnyGraph, source: Node) -> List[Node]:
+def bfs_order(graph: UndirectedGraph, source: Node) -> List[Node]:
     """Return nodes in breadth-first order from ``source`` (undirected)."""
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
@@ -34,15 +28,15 @@ def bfs_order(graph: AnyGraph, source: Node) -> List[Node]:
     while queue:
         node = queue.popleft()
         order.append(node)
-        for nbr in _undirected_neighbors(graph, node):
+        for nbr in graph.neighbors(node):
             if nbr not in visited:
                 visited.add(nbr)
                 queue.append(nbr)
     return order
 
 
-def shortest_path_lengths(graph: AnyGraph, source: Node) -> Dict[Node, int]:
-    """Single-source shortest path lengths in hops, undirected view.
+def shortest_path_lengths(graph: UndirectedGraph, source: Node) -> Dict[Node, int]:
+    """Single-source shortest path lengths in hops.
 
     Unreachable nodes are absent from the returned mapping.
     """
@@ -53,14 +47,16 @@ def shortest_path_lengths(graph: AnyGraph, source: Node) -> Dict[Node, int]:
     while queue:
         node = queue.popleft()
         d = dist[node]
-        for nbr in _undirected_neighbors(graph, node):
+        for nbr in graph.neighbors(node):
             if nbr not in dist:
                 dist[nbr] = d + 1
                 queue.append(nbr)
     return dist
 
 
-def shortest_path(graph: AnyGraph, source: Node, target: Node) -> Optional[List[Node]]:
+def shortest_path(
+    graph: UndirectedGraph, source: Node, target: Node
+) -> Optional[List[Node]]:
     """One shortest undirected path ``source .. target`` or None."""
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
@@ -72,7 +68,7 @@ def shortest_path(graph: AnyGraph, source: Node, target: Node) -> Optional[List[
     queue: deque = deque([source])
     while queue:
         node = queue.popleft()
-        for nbr in _undirected_neighbors(graph, node):
+        for nbr in graph.neighbors(node):
             if nbr in parent:
                 continue
             parent[nbr] = node
@@ -86,8 +82,8 @@ def shortest_path(graph: AnyGraph, source: Node, target: Node) -> Optional[List[
     return None
 
 
-def all_pairs_shortest_paths(graph: AnyGraph) -> Dict[Node, Dict[Node, int]]:
-    """All-pairs shortest path lengths (hops, undirected view).
+def all_pairs_shortest_paths(graph: UndirectedGraph) -> Dict[Node, Dict[Node, int]]:
+    """All-pairs shortest path lengths in hops.
 
     Runs one BFS per node: O(V * (V + E)).  Schema graphs have at most a
     few hundred vertices (Table 2), so this is cheap and is what the paper
@@ -96,13 +92,13 @@ def all_pairs_shortest_paths(graph: AnyGraph) -> Dict[Node, Dict[Node, int]]:
     return {node: shortest_path_lengths(graph, node) for node in graph.nodes()}
 
 
-def eccentricity(graph: AnyGraph, node: Node) -> int:
+def eccentricity(graph: UndirectedGraph, node: Node) -> int:
     """Maximum finite distance from ``node`` to any reachable node."""
     lengths = shortest_path_lengths(graph, node)
     return max(lengths.values())
 
 
-def diameter(graph: AnyGraph) -> int:
+def diameter(graph: UndirectedGraph) -> int:
     """Longest shortest path over all reachable pairs (undirected).
 
     For a disconnected graph this is the maximum over components (the
@@ -117,7 +113,7 @@ def diameter(graph: AnyGraph) -> int:
     return best
 
 
-def average_path_length(graph: AnyGraph) -> float:
+def average_path_length(graph: UndirectedGraph) -> float:
     """Mean finite pairwise distance over ordered reachable pairs.
 
     Returns 0.0 when the graph has fewer than two mutually reachable

@@ -48,7 +48,6 @@ import threading
 from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..exceptions import UnknownTypeError
 from ..graph.cliques import k_cliques
 from ..model.ids import TypeId
 
@@ -104,14 +103,6 @@ def subset_members(subsets: Subsets) -> FrozenSet[TypeId]:
     if members is not None:
         return members()
     return frozenset(chain.from_iterable(subsets))
-
-
-def resolve_indices(index: Dict[TypeId, int], keys: Sequence[TypeId]) -> List[int]:
-    """Map a key subset to pool row indices; unknown keys raise."""
-    try:
-        return [index[key] for key in keys]
-    except KeyError as exc:
-        raise UnknownTypeError(exc.args[0]) from None
 
 
 class KernelBackend:

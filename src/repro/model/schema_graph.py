@@ -13,15 +13,19 @@ The schema graph also carries the aggregates preview discovery needs:
   orientations, per Definition 1);
 * the undirected weighted type graph for the random-walk scorer;
 * a :class:`~repro.graph.distance.DistanceOracle` for tight/diverse
-  constraints.
+  constraints, built over that same undirected graph.
+
+The insertion-ordered count tables (types, relationship types and the
+``Γτ`` lists) are the schema's only structure; both derived graphs are
+built from them on demand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..exceptions import UnknownTypeError
-from ..graph import DirectedMultigraph, DistanceOracle, UndirectedGraph
+from ..graph import DistanceOracle, UndirectedGraph
 from .attributes import Direction, NonKeyAttribute
 from .entity_graph import EntityGraph
 from .ids import RelationshipTypeId, TypeId
@@ -38,7 +42,6 @@ class SchemaGraph:
 
     def __init__(self, name: str = "schema-graph") -> None:
         self.name = name
-        self._graph = DirectedMultigraph()
         self._rel_weights: Dict[RelationshipTypeId, int] = {}
         self._type_counts: Dict[TypeId, int] = {}
         self._candidates: Dict[TypeId, List[NonKeyAttribute]] = {}
@@ -68,7 +71,6 @@ class SchemaGraph:
         dropped only when the type is new, not on a count-only update.
         """
         if type_name not in self._type_counts:
-            self._graph.add_node(type_name)
             self._type_counts[type_name] = 0
             self._candidates[type_name] = []
             self._distance_oracle = None
@@ -80,8 +82,8 @@ class SchemaGraph:
         """Register a relationship type edge with its instance count.
 
         Endpoint types are added implicitly (with zero population) when
-        missing, mirroring multigraph conventions.  Only a new
-        relationship type (or endpoint type) drops the distance oracle.
+        missing.  Only a new relationship type (or endpoint type) drops
+        the distance oracle.
         """
         self.add_entity_type(rel_type.source_type)
         self.add_entity_type(rel_type.target_type)
@@ -89,9 +91,6 @@ class SchemaGraph:
             self._rel_weights[rel_type] += edge_count
         else:
             self._rel_weights[rel_type] = edge_count
-            self._graph.add_edge(
-                rel_type.source_type, rel_type.target_type, rel_type
-            )
             self._candidates[rel_type.source_type].append(
                 NonKeyAttribute(rel_type, Direction.OUT)
             )
@@ -105,16 +104,16 @@ class SchemaGraph:
     # ------------------------------------------------------------------
     def entity_types(self) -> List[TypeId]:
         """All entity types, in insertion order."""
-        return list(self._graph.nodes())
+        return list(self._type_counts)
 
     def has_entity_type(self, type_name: TypeId) -> bool:
         """Whether ``type_name`` is declared."""
-        return self._graph.has_node(type_name)
+        return type_name in self._type_counts
 
     @property
     def entity_type_count(self) -> int:
         """``K = |Vs|`` in the paper's complexity analyses."""
-        return self._graph.node_count
+        return len(self._type_counts)
 
     def relationship_types(self) -> List[RelationshipTypeId]:
         """All relationship types, in insertion order."""
@@ -163,10 +162,6 @@ class SchemaGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def multigraph(self) -> DirectedMultigraph:
-        """The raw directed multigraph view (vertices=types, edges=rel types)."""
-        return self._graph
-
     def undirected_weighted(self) -> UndirectedGraph:
         """The weighted undirected type graph of Sec. 3.2.
 
@@ -175,16 +170,21 @@ class SchemaGraph:
         Every registered entity type appears as a node even if isolated.
         """
         graph = UndirectedGraph()
-        for type_name in self._graph.nodes():
+        for type_name in self._type_counts:
             graph.add_node(type_name)
         for rel_type, weight in self._rel_weights.items():
             graph.add_edge(rel_type.source_type, rel_type.target_type, float(weight))
         return graph
 
     def distance_oracle(self) -> DistanceOracle:
-        """Cached all-pairs undirected distances between entity types."""
+        """Cached all-pairs undirected distances between entity types.
+
+        Built over :meth:`undirected_weighted`, whose nodes and
+        neighbours follow insertion order, so the oracle's node order
+        and every BFS it runs are independent of the hash seed.
+        """
         if self._distance_oracle is None:
-            self._distance_oracle = DistanceOracle(self._graph)
+            self._distance_oracle = DistanceOracle(self.undirected_weighted())
         return self._distance_oracle
 
     def distance(self, type_a: TypeId, type_b: TypeId) -> float:
@@ -194,11 +194,6 @@ class SchemaGraph:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def edges(self) -> Iterator[Tuple[TypeId, TypeId, RelationshipTypeId]]:
-        """Iterator of ``(source, target, relationship type)`` triples."""
-        for source, target, _key, label in self._graph.edges():
-            yield source, target, label
-
     def stats(self) -> Dict[str, int]:
         """Count summary of declared types and relationships."""
         return {

@@ -5,9 +5,9 @@ process pool: ``jobs > 1``, at least two usable cores, and a subset
 count at or above the active kernel backend's measured
 ``shard_threshold``.  Process-wide decision counters are surfaced
 through ``PreviewEngine.cache_info()`` and the serve ``stats`` op.
-``REPRO_PLAN`` (or :func:`use_mode`) forces ``serial`` or ``sharded``;
-all modes are bit-identical in results.  See
-``docs/execution-planner.md``.
+``REPRO_PLAN`` (or :func:`use_mode`) selects ``auto`` or forces
+``sharded``; ``jobs=1`` is the serial path.  Both modes are
+bit-identical in results.  See ``docs/execution-planner.md``.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ worth worker processes?*  The answer is a fixed rule, selected by
     least 9 in every 10 measured pairs on the crossover ladder of
     ``benchmarks/bench_crossover.py``.  A single-core affinity mask
     vetoes sharding outright: workers pinned to one core serialize.
-``serial``
-    Never shard; every batch runs the serial batched kernel inline.
 ``sharded``
     Always shard multi-subset batches when ``jobs > 1``, past the
     veto — forceable for benchmarks, tests and bisection.
+
+There is no forced serial mode: ``jobs=1`` is the serial path, and
+below the threshold ``auto`` already runs serially.
 
 The subset count is known before dispatch: it depends only on the
 schema and on ``(k, d, mode)``, so a bound fixed from the input
@@ -49,7 +50,7 @@ from ..exceptions import PlanError
 ENV_PLAN = config.PLAN.name
 
 #: The planner modes ``REPRO_PLAN`` accepts.
-PLAN_MODES = ("auto", "serial", "sharded")
+PLAN_MODES = ("auto", "sharded")
 
 #: In-process mode override (managed by :func:`use_mode`); None defers
 #: to the ``REPRO_PLAN`` environment knob.
@@ -141,7 +142,7 @@ def shard_threshold() -> int:
 def _verdict(subset_count: int, jobs: int) -> Tuple[str, ...]:
     """The decision counters one verdict bumps; the first names it."""
     mode = plan_mode()
-    if mode == "serial" or jobs <= 1 or subset_count <= 1:
+    if jobs <= 1 or subset_count <= 1:
         return ("serial",)
     if mode == "sharded":
         return ("sharded",)

@@ -14,8 +14,8 @@ Layout (all tuples indexed by one *type index* ``i``):
 * ``attrs[i][r]``     — rank-``r`` candidate of ``Γ_{types[i]}`` (rank 0 is
   the best candidate; ties broken lexically, matching
   :meth:`ScoringContext.sorted_candidates`);
-* ``attr_scores[i][r]`` — ``Sτ(attrs[i][r])``;
-* ``weighted[i][r]``  — ``S(τ) × Sτ(γ)``, the merge key of Alg. 1;
+* ``weighted[i][r]``  — ``S(τ) × Sτ(attrs[i][r])``, the merge key of
+  Alg. 1;
 * ``prefix[i][m]``    — ``S(T_τ^m)``, the score of the table keyed on
   ``types[i]`` with its top-``m`` candidates.  By convention
   ``prefix[i][0] == 0.0`` and ``len(prefix[i]) == len(attrs[i]) + 1``,
@@ -49,7 +49,6 @@ class CandidatePool:
     types: Tuple[TypeId, ...]
     key_scores: Tuple[float, ...]
     attrs: Tuple[Tuple[NonKeyAttribute, ...], ...]
-    attr_scores: Tuple[Tuple[float, ...], ...]
     weighted: Tuple[Tuple[float, ...], ...]
     prefix: Tuple[Tuple[float, ...], ...]
     index: Dict[TypeId, int]
@@ -66,21 +65,18 @@ class CandidatePool:
         type_tuple = tuple(types)
         keys = array("d", (key_scores[t] for t in type_tuple))
         attrs: List[Tuple[NonKeyAttribute, ...]] = []
-        attr_scores: List[Tuple[float, ...]] = []
         weighted: List[Tuple[float, ...]] = []
         prefix: List[Tuple[float, ...]] = []
         for i, type_name in enumerate(type_tuple):
             ranked = sorted_candidates.get(type_name, [])
             row = cls._row(keys[i], ranked)
             attrs.append(row[0])
-            attr_scores.append(row[1])
-            weighted.append(row[2])
-            prefix.append(row[3])
+            weighted.append(row[1])
+            prefix.append(row[2])
         return cls(
             types=type_tuple,
             key_scores=tuple(keys),
             attrs=tuple(attrs),
-            attr_scores=tuple(attr_scores),
             weighted=tuple(weighted),
             prefix=tuple(prefix),
             index={t: i for i, t in enumerate(type_tuple)},
@@ -95,7 +91,6 @@ class CandidatePool:
         Tuple[NonKeyAttribute, ...],
         Tuple[float, ...],
         Tuple[float, ...],
-        Tuple[float, ...],
     ]:
         """One type's flat arrays — shared by :meth:`build` and
         :meth:`patched` so a patched row is bit-identical to a fresh one
@@ -108,7 +103,7 @@ class CandidatePool:
         for score in scores:
             running += score
             sums.append(key_weight * running)
-        return attrs, scores, weighted, tuple(sums)
+        return attrs, weighted, tuple(sums)
 
     def patched(
         self, dirty_types: Iterable[TypeId], context: "ScoringContext"
@@ -116,9 +111,9 @@ class CandidatePool:
         """A new pool with only the dirty types' rows rebuilt.
 
         The delta-maintenance counterpart of :meth:`build`: every
-        untouched type *shares* its tuples (``attrs``, ``attr_scores``,
-        ``weighted``, ``prefix``) with this pool — O(delta) row rebuilds
-        plus an O(K) outer-tuple copy, instead of O(total candidates).
+        untouched type *shares* its tuples (``attrs``, ``weighted``,
+        ``prefix``) with this pool — O(delta) row rebuilds plus an O(K)
+        outer-tuple copy, instead of O(total candidates).
         ``context`` supplies the post-mutation scores (it is the patched
         :class:`~repro.scoring.preview_score.ScoringContext` this pool
         will belong to).
@@ -139,7 +134,6 @@ class CandidatePool:
             )
         key_scores = list(self.key_scores)
         attrs = list(self.attrs)
-        attr_scores = list(self.attr_scores)
         weighted = list(self.weighted)
         prefix = list(self.prefix)
         for type_name in dirty:
@@ -152,12 +146,11 @@ class CandidatePool:
                     f"{type_name!r} changed (structural mutation requires "
                     "a rebuild)"
                 )
-            attrs[i], attr_scores[i], weighted[i], prefix[i] = row
+            attrs[i], weighted[i], prefix[i] = row
         return CandidatePool(
             types=self.types,
             key_scores=tuple(key_scores),
             attrs=tuple(attrs),
-            attr_scores=tuple(attr_scores),
             weighted=tuple(weighted),
             prefix=tuple(prefix),
             index=self.index,
@@ -167,10 +160,6 @@ class CandidatePool:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def candidate_count(self, type_name: TypeId) -> int:
-        """``|Γτ|`` for one type."""
-        return len(self.attrs[self.index[type_name]])
-
     def top_m_score(self, type_name: TypeId, m: int) -> float:
         """``S(T_τ^m)`` via the prefix table (O(1); ``m`` is clamped)."""
         row = self.prefix[self.index[type_name]]

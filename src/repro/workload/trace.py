@@ -37,7 +37,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..exceptions import WorkloadError
 
@@ -371,10 +371,3 @@ class WorkloadTrace:
                 f"0x{data[exc.start]:02x} at offset {exc.start} (line {line})"
             ) from exc
         return cls.loads(text)
-
-
-def iter_trace_records(trace: WorkloadTrace) -> Iterable[Dict[str, Any]]:
-    """Yield the JSON records of ``trace`` (header first), for tooling."""
-    yield trace.header()
-    for op in trace.ops:
-        yield op.to_record()

@@ -62,7 +62,7 @@ class TestRandomGenerators:
         schema = SchemaGraph.from_entity_graph(graph)
         from repro.graph import is_connected
 
-        assert is_connected(schema.multigraph())
+        assert is_connected(schema.undirected_weighted())
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(DatasetError):

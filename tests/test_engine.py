@@ -491,7 +491,7 @@ class TestSweepThroughKernel:
         engine = live_graph().engine()
         built = count_profile_builds(monkeypatch)
         grid = self.TIGHT + self.DIVERSE
-        with plan.use_mode("sharded" if jobs > 1 else "serial"):
+        with plan.use_mode("sharded"):
             results = engine.sweep(grid, skip_infeasible=True, jobs=jobs)
         assert all(result is not None for result in results)
         assert len(built) == len(grid)

@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import NodeNotFoundError
 from repro.graph import (
     INFINITY,
-    DirectedMultigraph,
     DistanceOracle,
     UndirectedGraph,
     connected_components,
@@ -43,12 +42,6 @@ class TestComponents:
     def test_empty_graph_not_connected(self):
         assert not is_connected(UndirectedGraph())
         assert largest_component(UndirectedGraph()) == set()
-
-    def test_directed_graph_uses_undirected_view(self):
-        g = DirectedMultigraph()
-        g.add_edge("a", "b")
-        g.add_edge("c", "b")
-        assert is_connected(g)
 
 
 class TestDistanceOracle:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph import (
-    DirectedMultigraph,
     UndirectedGraph,
     all_pairs_shortest_paths,
     average_path_length,
@@ -18,8 +17,8 @@ from repro.graph import (
 
 @pytest.fixture
 def chain():
-    """Directed chain a -> b -> c -> d (undirected distances ignore arrows)."""
-    g = DirectedMultigraph()
+    """Chain a - b - c - d."""
+    g = UndirectedGraph()
     g.add_edge("a", "b")
     g.add_edge("b", "c")
     g.add_edge("c", "d")
@@ -48,7 +47,6 @@ class TestBfs:
 class TestShortestPaths:
     def test_lengths_undirected(self, chain):
         lengths = shortest_path_lengths(chain, "d")
-        # Edges are traversed against their direction too.
         assert lengths == {"d": 0, "c": 1, "b": 2, "a": 3}
 
     def test_unreachable_absent(self, disconnected):

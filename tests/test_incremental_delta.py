@@ -19,7 +19,7 @@ from repro.model import MutationLog, RelationshipTypeId
 from repro.scoring import ScoringContext
 from repro import config
 
-#: Worker count for the sharded legs (CI pins REPRO_TEST_JOBS=2/4).
+#: Worker count for the sharded legs (REPRO_TEST_JOBS, default 2).
 JOBS = config.test_jobs()
 
 SMALL = settings(

@@ -1,5 +1,10 @@
 """Unit tests for repro.model.schema_graph."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import UnknownRelationshipTypeError, UnknownTypeError
@@ -134,3 +139,40 @@ class TestDerivedGraphs:
         w_actor = weighted.weight("FILM", "FILM ACTOR")
         assert w_genre == 5.0  # 5 Genres edges
         assert w_actor == 6.0  # 6 Actor edges
+
+
+#: Prints architecture's distance table (each row in BFS discovery
+#: order) and one shortest path per ordered type pair.
+HASH_SEED_PROBE = """
+import json
+from repro.datasets import generate_domain
+from repro.graph import shortest_path
+from repro.model import SchemaGraph
+
+schema = SchemaGraph.from_entity_graph(generate_domain("architecture", 1000))
+matrix = schema.distance_oracle().matrix()
+graph = schema.undirected_weighted()
+types = schema.entity_types()
+print(json.dumps({
+    "rows": [[u, list(row.items())] for u, row in matrix.items()],
+    "paths": [shortest_path(graph, a, b) for a in types for b in types],
+}))
+"""
+
+
+def test_distances_and_paths_do_not_follow_the_hash_seed():
+    """The oracle's BFS order and shortest paths ignore PYTHONHASHSEED."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE],
+                check=True,
+                env=env,
+                capture_output=True,
+                text=True,
+            ).stdout
+        )
+    assert outputs[0] == outputs[1]

@@ -237,14 +237,18 @@ class TestShardBoundaries:
         else:
             assert serial.candidates_examined == 1
 
-    @pytest.mark.parametrize("mode", ["sharded", "serial"])
-    def test_brute_force_records_one_verdict_per_batch(self, fig1_context, mode):
+    @pytest.mark.parametrize("mode", ["sharded", "auto"])
+    def test_brute_force_records_one_verdict_per_batch(
+        self, fig1_context, mode, monkeypatch
+    ):
         """Brute force records exactly one planner verdict per batch.
 
         Forced sharded, the qualifying subsets are listed and the one
-        batch crosses the pool; forced serial, they stream through the
-        inline scan.  Either way one verdict, the mode's, is recorded.
+        batch crosses the pool; under ``auto`` the batch is far below
+        the threshold, so they stream through the inline scan.  Either
+        way one verdict is recorded.
         """
+        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 2)
         size = SizeConstraint(k=2, n=5)
         serial = brute_force_discover(fig1_context, size)
         assert serial.candidates_examined >= 2
@@ -254,7 +258,7 @@ class TestShardBoundaries:
             after = plan.decision_counts()
             pooled = executor._pool is not None
         assert {key: after[key] - before[key] for key in after} == {
-            "serial": int(mode == "serial"),
+            "serial": int(mode == "auto"),
             "sharded": int(mode == "sharded"),
             "vetoed_single_core": 0,
         }

@@ -7,11 +7,11 @@ Two layers, mirroring the planner's own contract:
   the executor's ``min(jobs, n)`` tiling in every mode, and the cached
   affinity probe.
 * **The hypothesis property** — for random schema pools, query points
-  and *any* ``REPRO_PLAN`` forcing, planner-chosen execution is
-  bit-identical to the serial oracle (``float.hex`` scores + winning
-  key subset) for all four discovery algorithms, including runs with
-  mutations interleaved between sharded sweeps.  Planning may only ever
-  move wall time, never answers.
+  and *any* ``REPRO_PLAN`` mode, planner-chosen execution is
+  bit-identical to the serial oracle, a ``jobs=1`` run (``float.hex``
+  scores + winning key subset), for all four discovery algorithms,
+  including runs with mutations interleaved between sharded sweeps.
+  Planning may only ever move wall time, never answers.
 """
 
 import os
@@ -71,11 +71,13 @@ def many_cores(monkeypatch):
 
 
 class TestPlannerDecisions:
-    def test_serial_mode_never_shards(self, many_cores):
-        with plan.use_mode("serial"):
-            verdict, delta = counted(lambda: plan.should_shard(10**6, jobs=8))
-        assert not verdict
-        assert delta == {"serial": 1}
+    def test_one_job_never_shards(self, many_cores):
+        """jobs=1 is the serial path in every mode, however large."""
+        for mode in plan.PLAN_MODES:
+            with plan.use_mode(mode):
+                verdict, delta = counted(lambda: plan.should_shard(10**6, jobs=1))
+            assert not verdict
+            assert delta == {"serial": 1}
 
     def test_sharded_mode_forces_even_past_the_veto(self, monkeypatch):
         """Forced sharding is a bisection tool: it bypasses the veto."""
@@ -169,19 +171,19 @@ class TestModeAndCaches:
     def test_plan_mode_reads_and_validates_the_env(self, monkeypatch):
         monkeypatch.setenv(plan.ENV_PLAN, "SHARDED")  # case-insensitive
         assert plan.plan_mode() == "sharded"
-        for bad in ("bogus", "static"):
+        for bad in ("bogus", "static", "serial"):
             monkeypatch.setenv(plan.ENV_PLAN, bad)
             with pytest.raises(PlanError, match="REPRO_PLAN"):
                 plan.plan_mode()
 
     def test_use_mode_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv(plan.ENV_PLAN, "serial")
-        with plan.use_mode("sharded"):
-            assert plan.plan_mode() == "sharded"
-            with plan.use_mode("auto"):  # nesting restores one level
-                assert plan.plan_mode() == "auto"
-            assert plan.plan_mode() == "sharded"
-        assert plan.plan_mode() == "serial"
+        monkeypatch.setenv(plan.ENV_PLAN, "sharded")
+        with plan.use_mode("auto"):
+            assert plan.plan_mode() == "auto"
+            with plan.use_mode("sharded"):  # nesting restores one level
+                assert plan.plan_mode() == "sharded"
+            assert plan.plan_mode() == "auto"
+        assert plan.plan_mode() == "sharded"
 
     def test_use_mode_rejects_unknown_modes(self):
         with pytest.raises(PlanError, match="unknown planner mode"):
@@ -256,8 +258,7 @@ class TestModeBitIdentity:
                 k=k, n=k + 3, d=d, mode="tight", algorithm="brute-force"
             ),
         ]
-        with plan.use_mode("serial"):
-            oracle = answer_grid(context, queries, jobs=1)
+        oracle = answer_grid(context, queries, jobs=1)
         with plan.use_mode(mode):
             answered = answer_grid(context, queries, jobs=JOBS)
         assert [fingerprint(r) for r in answered] == [
@@ -281,8 +282,7 @@ class TestModeBitIdentity:
                 distances=[None, (d, "tight"), (d, "diverse")],
             )
         )
-        with plan.use_mode("serial"):
-            oracle = PreviewEngine(context).sweep(grid, skip_infeasible=True)
+        oracle = PreviewEngine(context).sweep(grid, skip_infeasible=True)
         with plan.use_mode(mode):
             answered = PreviewEngine(context).sweep(
                 grid, skip_infeasible=True, jobs=JOBS
@@ -320,10 +320,9 @@ class TestModeBitIdentity:
         for batch in range(3):
             with plan.use_mode(mode):
                 planned = engine.sweep(grid, skip_infeasible=True, jobs=JOBS)
-            with plan.use_mode("serial"):
-                oracle = PreviewEngine(make_context(inc.entity_graph)).sweep(
-                    grid, skip_infeasible=True
-                )
+            oracle = PreviewEngine(make_context(inc.entity_graph)).sweep(
+                grid, skip_infeasible=True
+            )
             assert [fingerprint(r) for r in planned] == [
                 fingerprint(r) for r in oracle
             ], (seed, mode, batch)

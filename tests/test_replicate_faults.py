@@ -168,33 +168,47 @@ class ReorderProxy:
 
     WINDOW = 3
     IDLE_FLUSH_SECONDS = 0.2
+    #: Bound on the wait for the proxy's threads in :meth:`close`.
+    JOIN_SECONDS = 5.0
 
     def __init__(self, upstream_port: int) -> None:
         self.upstream_port = upstream_port
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.port = self._listener.getsockname()[1]
-        self._threads = []
+        # Guards _closing, _sockets and _threads between the accept
+        # thread and close().
+        self._lock = threading.Lock()
         self._closing = False
+        self._sockets = [self._listener]
+        self._threads = []
         accept = threading.Thread(target=self._accept_loop, daemon=True)
         accept.start()
         self._threads.append(accept)
 
     def _accept_loop(self) -> None:
-        while not self._closing:
+        while True:
             try:
                 client, _ = self._listener.accept()
             except OSError:
-                return
+                return  # close() shut the listener down
             upstream = socket.create_connection(
                 ("127.0.0.1", self.upstream_port)
             )
-            for target, args in (
-                (self._pump_verbatim, (client, upstream)),
-                (self._pump_reordered, (upstream, client)),
-            ):
-                thread = threading.Thread(target=target, args=args, daemon=True)
-                thread.start()
-                self._threads.append(thread)
+            with self._lock:
+                if self._closing:
+                    client.close()
+                    upstream.close()
+                    return
+                self._sockets += [client, upstream]
+                for target, args in (
+                    (self._pump_verbatim, (client, upstream)),
+                    (self._pump_reordered, (upstream, client)),
+                ):
+                    thread = threading.Thread(
+                        target=target, args=args, daemon=True
+                    )
+                    thread.start()
+                    self._threads.append(thread)
 
     def _pump_verbatim(self, source: socket.socket, sink: socket.socket):
         try:
@@ -239,8 +253,25 @@ class ReorderProxy:
                     pass
 
     def close(self) -> None:
-        self._closing = True
-        self._listener.close()
+        """Stop the proxy and join its threads (bounded wait).
+
+        Closing a listening socket from another thread does not wake an
+        ``accept()`` blocked on it on Linux, so every socket is shut down
+        first: the accept loop then fails and each pump reads EOF.
+        """
+        with self._lock:
+            self._closing = True
+            sockets = list(self._sockets)
+            threads = list(self._threads)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by a pump
+            sock.close()
+        deadline = time.monotonic() + self.JOIN_SECONDS
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class TestReorderedDeltas:
@@ -273,6 +304,19 @@ class TestReorderedDeltas:
             proxy.close()
             for server in reversed(servers):
                 server.stop()
+
+    def test_close_stops_every_proxy_thread(self):
+        """No proxy thread outlives close(), the blocked accept included."""
+        upstream = socket.create_server(("127.0.0.1", 0))
+        proxy = ReorderProxy(upstream.getsockname()[1])
+        try:
+            with socket.create_connection(("127.0.0.1", proxy.port)):
+                wait_until(lambda: len(proxy._threads) == 3)
+                proxy.close()
+                alive = [thread for thread in proxy._threads if thread.is_alive()]
+        finally:
+            upstream.close()
+        assert alive == []
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The workload subsystem: trace format, generator, replay, oracle, CLI.
 
-The hypothesis property at the bottom is the ISSUE's core guarantee: a
-*random* generated trace — interleaved mutations included, query pool
-spanning all four discovery algorithms — replayed through the warm
-incremental engine and the sharded process pool equals the from-scratch
-rebuild oracle at every step.  The CI workload leg re-runs this module
-under ``REPRO_TEST_JOBS=2`` so the sharded leg provably crosses a real
+The hypothesis property at the bottom is the subsystem's core
+guarantee: a *random* generated trace — interleaved mutations included,
+query pool spanning all four discovery algorithms — replayed through the
+warm incremental engine and the sharded process pool equals the
+from-scratch rebuild oracle at every step.  ``REPRO_TEST_JOBS`` defaults
+to 2 workers, so every tier-1 run sends the sharded leg across a real
 pool.
 """
 
@@ -36,7 +36,7 @@ from repro.workload import (
     scenario,
 )
 
-#: Worker count for the sharded legs (CI pins REPRO_TEST_JOBS=2).
+#: Worker count for the sharded legs (REPRO_TEST_JOBS, default 2).
 JOBS = config.test_jobs()
 
 #: Small, cheap domain every test trace runs against.
