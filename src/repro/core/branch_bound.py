@@ -4,9 +4,11 @@ A drop-in alternative to the brute force for concise previews: explores
 key subsets best-first, pruning any partial subset whose *optimistic
 bound* (each remaining slot filled by the best-scoring available table,
 every table taking its widest allowed prefix — see
-:func:`~repro.core.candidates.upper_bound_for_keys`) cannot beat the
-incumbent.  Exact: the bound dominates the true optimum, so pruning never
-discards an optimal solution.
+:func:`~repro.core.candidates.upper_bound_for_keys`) cannot reach the
+incumbent.  Exact: in exact arithmetic the bound dominates the true
+optimum, and a computed score can exceed its computed bound only by
+the rounding :func:`~repro.core.candidates.bound_floor` accounts for,
+so pruning below that floor never discards a better solution.
 
 The DP (Alg. 2) remains asymptotically better for concise previews; the
 value of this variant is (a) it extends to distance constraints where the
@@ -24,7 +26,7 @@ from operator import add
 from typing import List, Optional, Tuple
 
 from ..scoring.preview_score import ScoringContext
-from .candidates import best_preview_for_keys, eligible_key_types
+from .candidates import best_preview_for_keys, bound_floor, eligible_key_types
 from .constraints import DistanceConstraint, SizeConstraint, validate_constraints
 from .preview import DiscoveryResult
 from .registry import register_discovery_algorithm
@@ -67,6 +69,7 @@ def branch_and_bound_discover(
         return prefix_bound + extra
 
     best_score = float("-inf")
+    floor = bound_floor(best_score, size.n)
     best_preview = None
     examined = 0
     # Heap entries: (-optimistic, next_index, keys tuple, prefix bound).
@@ -76,7 +79,7 @@ def branch_and_bound_discover(
         heapq.heappush(heap, (-root, 0, (), 0.0))
     while heap:
         neg_bound, index, keys, prefix_bound = heapq.heappop(heap)
-        if -neg_bound <= best_score:
+        if -neg_bound < floor:
             break  # best-first: nothing left can improve
         if len(keys) == k:
             examined += 1
@@ -86,6 +89,7 @@ def branch_and_bound_discover(
             preview, score = allocation
             if score > best_score:
                 best_score = score
+                floor = bound_floor(best_score, size.n)
                 best_preview = preview
             continue
         if index >= len(ordered):
@@ -93,7 +97,7 @@ def branch_and_bound_discover(
         key = ordered[index]
         # Branch 1: skip ordered[index].
         skip_bound = optimistic(prefix_bound, index + 1, len(keys))
-        if skip_bound > best_score:
+        if skip_bound > float("-inf") and skip_bound >= floor:
             heapq.heappush(heap, (-skip_bound, index + 1, keys, prefix_bound))
         # Branch 2: take it (respecting pairwise distance feasibility).
         if distance is not None and any(
@@ -103,7 +107,7 @@ def branch_and_bound_discover(
         taken = keys + (key,)
         taken_bound = prefix_bound + table_bound[key]
         total_bound = optimistic(taken_bound, index + 1, len(taken))
-        if total_bound > best_score:
+        if total_bound > float("-inf") and total_bound >= floor:
             heapq.heappush(heap, (-total_bound, index + 1, taken, taken_bound))
 
     if best_preview is None:

@@ -174,30 +174,40 @@ def discover_among(
     algorithm: str,
     executor=None,
 ) -> Optional[DiscoveryResult]:
-    """ComputePreview on every subset of one batch, keeping the best.
+    """ComputePreview on the subsets of one batch that can win, keeping the best.
 
     The shared last step of Alg. 1 and Alg. 3, and the only code that
     takes a listed batch of key subsets to a :class:`DiscoveryResult`
-    (serial brute force streams its enumeration instead).  Without
-    an ``executor`` one serial :func:`repro.kernel.best_allocation` call
-    scores the batch against the live candidate pool.  With a live
-    :class:`~repro.parallel.ShardedExecutor` (the caller keeps
-    ownership), :func:`repro.plan.should_shard` decides whether the
-    batch goes to its workers instead.  Either way the winner is the
-    lowest-index subset among equal scores, matching the serial
-    strict-``>`` scan, and only it is materialized here against the real
-    pool, so both routes are bit-identical.  Every subset counts as
-    examined; returns None when every subset is infeasible.
+    (serial brute force streams its enumeration instead).  It first
+    bounds every subset (:func:`upper_bound_for_keys`, gathered by the
+    active kernel backend), scores the first highest-bound subset as
+    the incumbent, and keeps the survivors: the subsets whose bound
+    reaches :func:`bound_floor` of the incumbent's score.  Any subset
+    that scores at or above the incumbent survives, so the batch
+    optimum, and every subset tied with it, is among them.  The
+    ``oracle`` backend bounds nothing and scores the whole batch.
+
+    The survivors, in their original order, are one batch: without an
+    ``executor`` one serial :func:`repro.kernel.best_allocation` call
+    scores it; with a live :class:`~repro.parallel.ShardedExecutor`
+    (the caller keeps ownership), :func:`repro.plan.should_shard`
+    decides on the survivor count whether it goes to the workers
+    instead.  Either way the winner is the lowest-index survivor among
+    equal scores, which is the lowest-index subset of the batch among
+    them, and only it is materialized here against the real pool.
+    Every subset counts as examined, by its bound; returns None when
+    every subset is infeasible.
     """
     pool = context.candidate_pool()
     extra_cap = size.n - size.k
-    if executor is not None and plan.should_shard(len(subsets), executor.jobs):
-        best = executor.best_allocation(pool, subsets, extra_cap)
+    survivors = _bound_survivors(pool, size, subsets)
+    if executor is not None and plan.should_shard(len(survivors), executor.jobs):
+        best = executor.best_allocation(pool, survivors, extra_cap)
     else:
-        best = kernel.best_allocation(pool, subsets, extra_cap)
+        best = kernel.best_allocation(pool, survivors, extra_cap)
     if best is None:
         return None
-    allocation = best_preview_for_keys(context, subsets[best[1]], size)
+    allocation = best_preview_for_keys(context, survivors[best[1]], size)
     if allocation is None:  # pragma: no cover - kernel said feasible
         return None
     preview, score = allocation
@@ -211,14 +221,92 @@ def discover_among(
     )
 
 
+def _bound_survivors(
+    pool: CandidatePool, size: SizeConstraint, subsets: Subsets
+) -> Subsets:
+    """The subsets of ``subsets`` that can still win, in their order.
+
+    The per-type bounds come from the pool's prefix tables; the active
+    backend gathers them per subset and selects the survivors.  Empty
+    when every subset is infeasible; all of ``subsets`` when the
+    backend does not prune.
+    """
+    backend = kernel.active_backend()
+    gathered = backend.subset_bounds(pool.index, subsets, table_bounds(pool, size))
+    if gathered is None:
+        return subsets
+    bounds, seed = gathered
+    if seed is None:
+        return subsets[:0]
+    incumbent = kernel.best_allocation(
+        pool, subsets[seed : seed + 1], size.n - size.k
+    )
+    return backend.survivors(subsets, bounds, bound_floor(incumbent[0], size.n))
+
+
+def table_bounds(pool: CandidatePool, size: SizeConstraint) -> List[float]:
+    """Each pool row's widest-table score: its :func:`upper_bound_for_keys` term.
+
+    ``-inf`` for a row with no candidate, whose type cannot key a table.
+    """
+    cap = size.max_attributes_per_table
+    minus_inf = float("-inf")
+    return [
+        row[min(cap, len(row) - 1)] if len(row) > 1 else minus_inf
+        for row in pool.prefix
+    ]
+
+
+#: Unit roundoff of IEEE-754 binary64 under round-to-nearest.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def bound_floor(incumbent: float, n: int) -> float:
+    """The smallest computed bound that can still reach ``incumbent``.
+
+    A key set whose computed :func:`upper_bound_for_keys` value lies
+    below this floor scores strictly below ``incumbent`` at attribute
+    budget ``n``; one that scores at or above it has a bound at or
+    above the floor.  The float margin is needed: under entropy scores
+    a computed score can exceed its computed bound by a few ulps.
+
+    Derivation.  With unit roundoff ``u = 2**-53`` and
+    ``γ(m) = m·u / (1 - m·u)``, a sum of non-negative floats computed
+    in any order, each term carrying ``m`` roundings in all, is within
+    a factor ``1 ± γ(m)`` of its exact value.  Let ``B*`` and ``S*`` be
+    the exact bound and score on the pool's float inputs, ``B`` and
+    ``S`` the computed ones.  Scores are non-negative, and each table
+    of the Theorem-3 allocation holds a prefix of its candidates no
+    longer than ``cap = n - k + 1``, so ``S* <= B*``.
+
+    * Bound side: a table term is one product of the key score with a
+      sequential sum of at most ``cap`` scores, and ``k`` terms are
+      summed, so ``B >= B*·(1 - γ(cap + k - 1)) = B*·(1 - γ(n))``.
+    * Score side: at most ``n`` weighted terms (``k`` top-1 values and
+      at most ``n - k`` merged ones), each one product, are summed in
+      sequence, so ``S <= S*·(1 + γ(n))``.
+
+    Hence ``S <= B·(1 + γ(n)) / (1 - γ(n))``, and ``S >= incumbent``
+    requires ``B >= incumbent·(1 - γ(n)) / (1 + γ(n))``, which is at
+    least ``incumbent·(1 - 2γ(n))``.  The extra ``3u`` in the margin
+    absorbs the two roundings of computing the floor itself.  The
+    branch-and-bound search sums the same ``k`` table terms in another
+    order, so the same floor holds for its bounds.
+    """
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return incumbent * (1.0 - (2.0 * gamma + 3.0 * _UNIT_ROUNDOFF))
+
+
 def upper_bound_for_keys(
     context: ScoringContext, keys: Sequence[TypeId], size: SizeConstraint
 ) -> float:
     """A cheap upper bound on the best score achievable with ``keys``.
 
     Used for pruning: each table independently takes its best
-    ``n - (k - 1)`` candidates.  Never below the true optimum — an O(1)
-    prefix-table lookup per key via the candidate pool.
+    ``n - (k - 1)`` candidates, an O(1) prefix-table lookup per key via
+    the candidate pool.  In exact arithmetic it never falls below the
+    true optimum.  In floating point the computed score can exceed it
+    by a few ulps, so prune only against :func:`bound_floor`.
     """
     cap = size.max_attributes_per_table
     # Left to right: builtin ``sum`` compensates float sums since 3.12.

@@ -18,7 +18,10 @@ Selection happens through the ``REPRO_KERNEL`` environment variable
 (``auto`` | ``python`` | ``numpy`` | ``oracle``; default ``auto``), read
 once on first use; :func:`set_backend` / :func:`use_backend` switch
 in-process.  All backends return bit-identical scores and the serial
-lowest-index tie-break — see ``docs/scoring-kernel.md``.
+lowest-index tie-break — see ``docs/scoring-kernel.md``.  The python
+and numpy backends also gather per-subset Theorem-3 bounds, which
+:func:`~repro.core.candidates.discover_among` prunes by; the oracle
+does not, so it stays the unpruned reference.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "best_allocation",
     "get_backend",
     "kernel_stats",
+    "lowered",
     "record_batch",
     "reset_kernel_stats",
     "set_backend",
@@ -148,9 +152,34 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
         _active = previous
 
 
-def best_allocation(source, subsets: Subsets, extra_cap: int) -> BestAllocation:
-    """One-shot serial dispatch: lower ``source``, score, count the batch.
+def lowered(backend: KernelBackend, source) -> object:
+    """``backend``'s columns for ``source``, lowered once per candidate pool.
 
+    A :class:`~repro.scoring.CandidatePool` keeps each backend's columns
+    in its ``kernel_columns`` field, so they (and the per-budget tail
+    caches inside them) live as long as the pool.  A finished lowering
+    is stored with one dict assignment: two threads may both lower a
+    fresh pool, but neither ever reads a partial one.  Sources without
+    the field, such as a :class:`~repro.parallel.ScoringSnapshot`, are
+    lowered on every call.
+    """
+    cache = getattr(source, "kernel_columns", None)
+    if cache is None:
+        return backend.lower(source)
+    columns = cache.get(backend.name)
+    if columns is None:
+        columns = backend.lower(source)
+        cache[backend.name] = columns
+    return columns
+
+
+def best_allocation(source, subsets: Subsets, extra_cap: int) -> BestAllocation:
+    """One serial dispatch: score every subset of ``subsets``, count the batch.
+
+    Unpruned: each subset runs the Theorem-3 merge, so this stays the
+    batch-scoring entry ``benchmarks/bench_kernel.py`` times;
+    :func:`~repro.core.candidates.discover_among` prunes by bounds
+    before it calls in.  ``source`` is lowered through :func:`lowered`.
     The entry every serial consumer uses; sharded dispatch goes through
     :meth:`~repro.parallel.ShardedExecutor.best_allocation`, which
     records its batch on the parent side instead.
@@ -159,4 +188,4 @@ def best_allocation(source, subsets: Subsets, extra_cap: int) -> BestAllocation:
         return None
     backend = active_backend()
     record_batch(len(subsets))
-    return backend.best_allocation(backend.lower(source), subsets, extra_cap)
+    return backend.best_allocation(lowered(backend, source), subsets, extra_cap)

@@ -29,6 +29,12 @@ Every backend honors the same contract:
 * ``batch_scores(columns, subsets, extra_cap)`` returns one
   ``Optional[float]`` per subset (None = infeasible) — the conformance
   surface the property tests diff against :class:`OracleBackend`.
+* ``subset_bounds(index, subsets, table_bounds)`` gathers each
+  subset's Theorem-3 bound and ``survivors(subsets, bounds, floor)``
+  keeps the subsets whose bound reaches a floor: the pruning that
+  :func:`~repro.core.candidates.discover_among` runs before it scores.
+  The default ``subset_bounds`` returns None, meaning "score unpruned";
+  the oracle keeps it.
 * ``qualifying_subsets(nodes, oracle, distance, k)`` enumerates the
   k-subsets of ``nodes`` whose pairs all satisfy ``distance`` (Alg. 3's
   first step) in :func:`~repro.graph.cliques.apriori_k_cliques` order,
@@ -134,6 +140,36 @@ class KernelBackend:
         self, columns, subsets: Subsets, extra_cap: int
     ) -> List[Optional[float]]:
         """Per-subset scores (None = infeasible), positionally aligned."""
+        raise NotImplementedError
+
+    def subset_bounds(
+        self,
+        index: Dict[TypeId, int],
+        subsets: Subsets,
+        table_bounds: Sequence[float],
+    ) -> Optional[Tuple[object, Optional[int]]]:
+        """Each subset's Theorem-3 bound, and the position of the largest.
+
+        ``index`` maps key types to pool rows and ``table_bounds[row]``
+        is that row's widest-table score (``-inf`` for a row with no
+        candidate); every subset has the same number of keys.  A
+        subset's bound sums its keys' entries left to right in key
+        order, so it equals
+        :func:`~repro.core.candidates.upper_bound_for_keys` bit for bit;
+        a subset with a duplicate key or an empty row gets ``-inf``.
+        Returns ``(bounds, seed)``: the backend-private bound vector and
+        the first position of its largest finite entry (None when every
+        bound is ``-inf``).  This default returns None, so the backend
+        scores every subset: the oracle stays the unpruned reference.
+        """
+        return None
+
+    def survivors(self, subsets: Subsets, bounds, floor: float) -> Subsets:
+        """The subsets whose bound is at least ``floor``, in their order.
+
+        Order is kept, so a lowest-index tie-break over the survivors
+        is the lowest-index tie-break over ``subsets``.
+        """
         raise NotImplementedError
 
     def qualifying_subsets(

@@ -20,6 +20,8 @@ per-subset Python objects.
 **Scoring.**  Lowering pads the per-type weighted rows into one
 ``(K, W)`` float64 rectangle with a row-length validity vector; per
 extra budget a ``(K, cap)`` strictly-positive tail rectangle is cached.
+:func:`repro.kernel.lowered` keeps the lowering on the candidate pool,
+so the rectangles and their tail caches live as long as the pool.
 A batch becomes a ``(B, k)`` pool-row matrix: a :class:`SubsetMatrix`
 maps its ``nodes`` to pool rows once and indexes its matrix through
 that table; any other sequence of tuples is resolved with
@@ -32,6 +34,13 @@ oracle.  Sorted equal floats commute exactly and zero padding adds
 ``+0.0`` to non-negative partial sums, so every score matches the heap
 merge bit for bit.  Join and gather temporaries are bounded by
 processing :data:`~repro.kernel.base.BATCH_SIZE` rows at a time.
+
+**Pruning.**  :meth:`NumpyBackend.subset_bounds` maps a
+:class:`SubsetMatrix` to pool rows once and adds the per-type bound
+vector column by column, the bound's key order; duplicate pool rows
+within a subset set its bound to ``-inf``.
+:meth:`NumpyBackend.survivors` keeps the rows whose bound reaches the
+floor as a smaller :class:`SubsetMatrix`, in their order.
 """
 
 from __future__ import annotations
@@ -143,11 +152,11 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _resolve(self, columns: NumpyColumns, subsets, k: int) -> np.ndarray:
+    def _resolve(self, index: Dict[object, int], subsets, k: int) -> np.ndarray:
         """``(len(subsets), k)`` row-index matrix for uniform-arity subsets."""
         try:
             flat = np.fromiter(
-                map(columns.index.__getitem__, chain.from_iterable(subsets)),
+                map(index.__getitem__, chain.from_iterable(subsets)),
                 dtype=np.intp,
                 count=len(subsets) * k,
             )
@@ -189,25 +198,35 @@ class NumpyBackend(KernelBackend):
                     acc += merged[:, j]
         return np.where(feasible, acc, -np.inf)
 
-    def _matrix_scores(
-        self, columns: NumpyColumns, subsets: SubsetMatrix, extra_cap: int
-    ) -> np.ndarray:
-        """:meth:`_scores_array` for a :class:`SubsetMatrix`, no per-key lookups."""
+    @staticmethod
+    def _node_rows(index: Dict[object, int], subsets: SubsetMatrix) -> np.ndarray:
+        """Pool row of each of ``subsets.nodes`` (``-1`` where absent).
+
+        Raises :class:`~repro.exceptions.UnknownTypeError` for the first
+        absent node a subset uses, in row-major order: the key a
+        per-tuple resolution would have stopped at.
+        """
         nodes = subsets.nodes
         lookup = np.fromiter(
-            (columns.index.get(node, -1) for node in nodes),
+            (index.get(node, -1) for node in nodes),
             dtype=np.intp,
             count=len(nodes),
         )
-        rows = subsets.rows
         missing = lookup < 0
         if missing.any():
-            # Raise for the first unknown key in row-major order, the
-            # key a per-tuple resolution would have stopped at.
+            rows = subsets.rows
             unknown = missing[rows].ravel()
             if unknown.any():
                 at = int(np.argmax(unknown))
                 raise UnknownTypeError(nodes[int(rows.ravel()[at])])
+        return lookup
+
+    def _matrix_scores(
+        self, columns: NumpyColumns, subsets: SubsetMatrix, extra_cap: int
+    ) -> np.ndarray:
+        """:meth:`_scores_array` for a :class:`SubsetMatrix`, no per-key lookups."""
+        lookup = self._node_rows(columns.index, subsets)
+        rows = subsets.rows
         scores = np.empty(len(rows), dtype=np.float64)
         for start in range(0, len(rows), BATCH_SIZE):
             scores[start : start + BATCH_SIZE] = self._uniform_scores(
@@ -225,7 +244,7 @@ class NumpyBackend(KernelBackend):
         arities = np.fromiter(map(len, subsets), dtype=np.intp, count=total)
         scores = np.empty(total, dtype=np.float64)
         if arities.min() == arities.max():
-            idx = self._resolve(columns, subsets, int(arities[0]))
+            idx = self._resolve(columns.index, subsets, int(arities[0]))
             for start in range(0, total, BATCH_SIZE):
                 scores[start : start + BATCH_SIZE] = self._uniform_scores(
                     columns, idx[start : start + BATCH_SIZE], extra_cap
@@ -237,7 +256,7 @@ class NumpyBackend(KernelBackend):
             by_len.setdefault(len(keys), []).append(position)
         for k, positions in by_len.items():
             idx = self._resolve(
-                columns, [subsets[position] for position in positions], k
+                columns.index, [subsets[position] for position in positions], k
             )
             group = np.empty(len(positions), dtype=np.float64)
             for start in range(0, len(positions), BATCH_SIZE):
@@ -320,6 +339,38 @@ class NumpyBackend(KernelBackend):
         if score == float("-inf"):
             return None
         return score, position
+
+    def subset_bounds(self, index, subsets, table_bounds):
+        """Per-subset bounds: a column-wise gather-sum over pool rows.
+
+        Column by column, like the scores, so each bound adds its keys'
+        entries in key order.
+        """
+        if isinstance(subsets, SubsetMatrix):
+            rows = self._node_rows(index, subsets)[subsets.rows]
+        else:
+            rows = self._resolve(index, subsets, len(subsets[0]) if subsets else 0)
+        vector = np.asarray(table_bounds, dtype=np.float64)
+        count, k = rows.shape
+        bounds = np.zeros(count, dtype=np.float64)
+        for j in range(k):
+            bounds += vector[rows[:, j]]
+        for j in range(1, k):
+            for i in range(j):
+                bounds[rows[:, i] == rows[:, j]] = -np.inf
+        if not count:
+            return bounds, None
+        seed = int(np.argmax(bounds))
+        if np.isneginf(bounds[seed]):
+            return bounds, None
+        return bounds, seed
+
+    def survivors(self, subsets, bounds, floor):
+        """The subsets whose bound reaches ``floor``, in their order."""
+        positions = np.flatnonzero(bounds >= floor)
+        if isinstance(subsets, SubsetMatrix):
+            return SubsetMatrix(subsets.nodes, subsets.rows[positions])
+        return [subsets[at] for at in positions.tolist()]
 
     def batch_scores(self, columns, subsets, extra_cap):
         """Vectorized scores for every subset in the batch."""

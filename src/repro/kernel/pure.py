@@ -11,6 +11,10 @@ docstring for the identity this relies on).  Builtin ``sum`` would not
 keep that order: since Python 3.12 it compensates float sums, and its
 results then differ from the oracle's in the last bits.  The loop is
 also twice as fast as ``functools.reduce(operator.add, ...)`` here.
+:func:`repro.kernel.lowered` keeps the lowering, and with it the
+per-budget tail cache, on the candidate pool.  The pruning surface
+(:meth:`PythonBackend.subset_bounds`, :meth:`PythonBackend.survivors`)
+is one loop over the key tuples.
 """
 
 from __future__ import annotations
@@ -107,6 +111,29 @@ class PythonBackend(KernelBackend):
         if best_at < 0:
             return None
         return best_score, best_at
+
+    def subset_bounds(self, index, subsets, table_bounds):
+        """Per-subset bounds, one loop over the key tuples."""
+        by_type = {key: table_bounds[row] for key, row in index.items()}
+        minus_inf = float("-inf")
+        bounds: List[float] = []
+        append = bounds.append
+        for keys in subsets:
+            bound = 0.0
+            try:
+                for key in keys:
+                    bound += by_type[key]
+            except KeyError as exc:
+                raise UnknownTypeError(exc.args[0]) from None
+            append(bound if len(set(keys)) == len(keys) else minus_inf)
+        best = max(bounds, default=minus_inf)
+        if best == minus_inf:
+            return bounds, None
+        return bounds, bounds.index(best)
+
+    def survivors(self, subsets, bounds, floor):
+        """The subsets whose bound reaches ``floor``, in their order."""
+        return [keys for keys, bound in zip(subsets, bounds) if bound >= floor]
 
     def batch_scores(self, columns, subsets, extra_cap):
         """Batched subset scores using stdlib-only arithmetic."""

@@ -26,12 +26,18 @@ Layout (all tuples indexed by one *type index* ``i``):
 ones that can key a preview table), preserving schema order so every
 algorithm enumerates k-subsets in the exact order the seed code did —
 tie-breaking between equal-scoring previews is unchanged.
+
+``kernel_columns`` holds each kernel backend's lowering of the pool,
+filled by :func:`repro.kernel.lowered` on first use, so a pool is
+lowered once per backend however many batches score against it.  It
+takes no part in equality, and a :meth:`CandidatePool.patched` pool
+starts with it empty.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from ..exceptions import ScoringError
@@ -53,6 +59,9 @@ class CandidatePool:
     prefix: Tuple[Tuple[float, ...], ...]
     index: Dict[TypeId, int]
     eligible: Tuple[TypeId, ...]
+    kernel_columns: Dict[str, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def build(

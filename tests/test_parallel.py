@@ -102,8 +102,9 @@ class TestShardedExecutor:
         ``best_preview_for_keys`` rejects duplicates, so a worker must
         not let one win the reduction on its double-counted score (the
         shipped callers never produce duplicates, but the dispatch's
-        contract should hold for any subset list).  Forced ``sharded``
-        mode sends the 2-subset batch across a real pool.
+        contract should hold for any subset list).  The executor sends
+        the 2-subset batch across a real pool; ``discover_among`` bounds
+        the duplicate to ``-inf`` and never scores it.
         """
         pool = fig1_context.candidate_pool()
         strongest = max(
@@ -111,15 +112,12 @@ class TestShardedExecutor:
         )
         other = next(t for t in pool.eligible if t != strongest)
         size = SizeConstraint(k=2, n=4)
+        subsets = [(strongest, strongest), (strongest, other)]
         with plan.use_mode("sharded"), ShardedExecutor(max(JOBS, 2)) as executor:
-            result = discover_among(
-                fig1_context,
-                size,
-                [(strongest, strongest), (strongest, other)],
-                "test",
-                executor,
-            )
+            best = executor.best_allocation(pool, subsets, size.n - size.k)
             assert executor._pool is not None, "the batch never left the parent"
+            result = discover_among(fig1_context, size, subsets, "test", executor)
+        assert best[1] == 1
         assert (result.preview, result.score) == best_preview_for_keys(
             fig1_context, (strongest, other), size
         )
@@ -244,9 +242,11 @@ class TestShardBoundaries:
         """Brute force records exactly one planner verdict per batch.
 
         Forced sharded, the qualifying subsets are listed and the one
-        batch crosses the pool; under ``auto`` the batch is far below
-        the threshold, so they stream through the inline scan.  Either
-        way one verdict is recorded.
+        verdict is taken on the batch ``discover_among`` keeps after
+        bounding it; under ``auto`` the batch is far below the
+        threshold, so they stream through the inline scan.  Either way
+        one verdict is recorded, and a sharded verdict puts the batch
+        on the pool.
         """
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 2)
         size = SizeConstraint(k=2, n=5)
@@ -257,12 +257,11 @@ class TestShardBoundaries:
             answer = brute_force_discover(fig1_context, size, executor=executor)
             after = plan.decision_counts()
             pooled = executor._pool is not None
-        assert {key: after[key] - before[key] for key in after} == {
-            "serial": int(mode == "auto"),
-            "sharded": int(mode == "sharded"),
-            "vetoed_single_core": 0,
-        }
-        assert pooled == (mode == "sharded")
+        verdicts = {key: after[key] - before[key] for key in after}
+        assert sum(verdicts.values()) == 1
+        if mode == "auto":
+            assert verdicts["serial"] == 1
+        assert pooled == (verdicts["sharded"] == 1)
         assert answer == serial
 
     def test_one_shard_all_infeasible_other_feasible(self):
