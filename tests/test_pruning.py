@@ -21,6 +21,8 @@ be identical.  Coverage:
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -381,3 +383,34 @@ def test_lowering_cache_is_not_part_of_the_pool(fig1_context):
     patched = pool.patched(pool.eligible[:1], fig1_context)
     assert patched.kernel_columns == {}
     assert patched == pool
+
+
+def test_concurrent_scoring_never_reads_a_partial_lowering(fig1_context):
+    """Threads racing to lower one fresh pool all get the serial answer.
+
+    More threads than cores and a tiny switch interval interleave the
+    first lowering and the first per-budget tail cache; a thread that
+    read a half-built cache would score differently or raise.
+    """
+    base = fig1_context.candidate_pool()
+    subsets = [(t,) for t in base.eligible] + [tuple(base.eligible[:2])]
+    expected = kernel.best_allocation(base, subsets, 2)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            pool = base.patched([], fig1_context)  # an empty cache
+            results = []
+
+            def score():
+                results.append(kernel.best_allocation(pool, subsets, 2))
+
+            threads = [threading.Thread(target=score) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * len(threads)
+    finally:
+        sys.setswitchinterval(previous)
