@@ -36,9 +36,10 @@ merge bit for bit.  Join and gather temporaries are bounded by
 processing :data:`~repro.kernel.base.BATCH_SIZE` rows at a time.
 
 **Pruning.**  :meth:`NumpyBackend.subset_bounds` maps a
-:class:`SubsetMatrix` to pool rows once and adds the per-type bound
-vector column by column, the bound's key order; duplicate pool rows
-within a subset set its bound to ``-inf``.
+:class:`SubsetMatrix`'s nodes to pool rows once and, ``BATCH_SIZE``
+rows at a time, adds the per-type bound vector column by column, the
+bound's key order; duplicate pool rows within a subset set its bound
+to ``-inf``.
 :meth:`NumpyBackend.survivors` keeps the rows whose bound reaches the
 floor as a smaller :class:`SubsetMatrix`, in their order.
 """
@@ -344,20 +345,28 @@ class NumpyBackend(KernelBackend):
         """Per-subset bounds: a column-wise gather-sum over pool rows.
 
         Column by column, like the scores, so each bound adds its keys'
-        entries in key order.
+        entries in key order; :data:`~repro.kernel.base.BATCH_SIZE`
+        rows at a time, so the pool-row gather stays bounded.
         """
         if isinstance(subsets, SubsetMatrix):
-            rows = self._node_rows(index, subsets)[subsets.rows]
+            lookup = self._node_rows(index, subsets)
+            matrix = subsets.rows
         else:
-            rows = self._resolve(index, subsets, len(subsets[0]) if subsets else 0)
+            lookup = None
+            matrix = self._resolve(index, subsets, len(subsets[0]) if subsets else 0)
         vector = np.asarray(table_bounds, dtype=np.float64)
-        count, k = rows.shape
+        count, k = matrix.shape
         bounds = np.zeros(count, dtype=np.float64)
-        for j in range(k):
-            bounds += vector[rows[:, j]]
-        for j in range(1, k):
-            for i in range(j):
-                bounds[rows[:, i] == rows[:, j]] = -np.inf
+        for start in range(0, count, BATCH_SIZE):
+            rows = matrix[start : start + BATCH_SIZE]
+            if lookup is not None:
+                rows = lookup[rows]
+            chunk = bounds[start : start + BATCH_SIZE]
+            for j in range(k):
+                chunk += vector[rows[:, j]]
+            for j in range(1, k):
+                for i in range(j):
+                    chunk[rows[:, i] == rows[:, j]] = -np.inf
         if not count:
             return bounds, None
         seed = int(np.argmax(bounds))

@@ -76,8 +76,6 @@ class ScenarioSpec:
     clients: int = 1
     #: Distinct queries in the hot pool.
     query_pool: int = 8
-    #: Largest table count ``k`` a pooled query asks for (at least 2).
-    max_tables: int = 3
     #: Algorithms reads may name (filtered per query by shape).
     algorithms: Tuple[str, ...] = ("auto",)
 
@@ -93,8 +91,6 @@ class ScenarioSpec:
         for name in ("burst_length", "clients", "query_pool"):
             if getattr(self, name) < 1:
                 raise WorkloadError(f"scenario {name} must be at least 1")
-        if self.max_tables < 2:
-            raise WorkloadError("scenario max_tables must be at least 2")
         if self.zipf_exponent <= 0:
             raise WorkloadError("zipf_exponent must be positive")
         if not self.algorithms:
@@ -144,7 +140,7 @@ def _build_query_pool(
     """
     pool: List[PreviewQuery] = []
     seen = set()
-    k_max = max(2, min(spec.max_tables, type_count))
+    k_max = max(2, min(3, type_count))
     rejections = 0
     while len(pool) < spec.query_pool and rejections < 50 * spec.query_pool:
         k = rng.randint(2, k_max)
@@ -362,7 +358,6 @@ def generate_trace(
             "zipf_exponent": spec.zipf_exponent,
             "clients": spec.clients,
             "query_pool": spec.query_pool,
-            "max_tables": spec.max_tables,
             "algorithms": list(spec.algorithms),
         },
     )

@@ -242,11 +242,12 @@ class TestShardBoundaries:
         """Brute force records exactly one planner verdict per batch.
 
         Forced sharded, the qualifying subsets are listed and the one
-        verdict is taken on the batch ``discover_among`` keeps after
-        bounding it; under ``auto`` the batch is far below the
-        threshold, so they stream through the inline scan.  Either way
-        one verdict is recorded, and a sharded verdict puts the batch
-        on the pool.
+        batch crosses the pool: the verdict is taken on the subsets
+        ``discover_among`` keeps after bounding, 2 of fig1's 15 (all 15
+        under the unpruned ``oracle`` backend), and a batch of one or
+        none would be scored serially.  Under ``auto`` the batch is far
+        below the threshold, so they stream through the inline scan.
+        Either way one verdict is recorded.
         """
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 2)
         size = SizeConstraint(k=2, n=5)
@@ -257,11 +258,12 @@ class TestShardBoundaries:
             answer = brute_force_discover(fig1_context, size, executor=executor)
             after = plan.decision_counts()
             pooled = executor._pool is not None
-        verdicts = {key: after[key] - before[key] for key in after}
-        assert sum(verdicts.values()) == 1
-        if mode == "auto":
-            assert verdicts["serial"] == 1
-        assert pooled == (verdicts["sharded"] == 1)
+        assert {key: after[key] - before[key] for key in after} == {
+            "serial": int(mode == "auto"),
+            "sharded": int(mode == "sharded"),
+            "vetoed_single_core": 0,
+        }
+        assert pooled == (mode == "sharded")
         assert answer == serial
 
     def test_one_shard_all_infeasible_other_feasible(self):

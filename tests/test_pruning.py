@@ -115,11 +115,14 @@ def oracle_answer(context, size, subsets):
 @pytest.mark.parametrize("backend_name", PRUNING)
 @pytest.mark.parametrize("scorers", SCORER_PAIRS)
 @pytest.mark.parametrize("k, n", [(1, 3), (2, 5), (3, 7)])
-def test_gathered_bounds_equal_upper_bound_for_keys(backend_name, scorers, k, n):
+def test_gathered_bounds_equal_upper_bound_for_keys(
+    backend_name, scorers, k, n, monkeypatch
+):
     """Every subset's gathered bound has ``upper_bound_for_keys``'s bits.
 
     Subsets with a duplicate key, or a key with no candidate, gather
-    ``-inf``; the seed is the first largest finite bound.
+    ``-inf``; the seed is the first largest finite bound.  numpy also
+    gathers 7 rows at a time, so chunk boundaries fall inside the batch.
     """
     graph = random_entity_graph(9, 14, 150, 500, seed=5)
     context = make_context(graph, key_scorer=scorers[0], nonkey_scorer=scorers[1])
@@ -129,17 +132,20 @@ def test_gathered_bounds_equal_upper_bound_for_keys(backend_name, scorers, k, n)
     if k > 1:
         subsets += [(pool.types[0],) * k, subsets[-1][:1] * k]
     backend = kernel.get_backend(backend_name)
-    batches = [subsets]
+    runs = [(subsets, None)]
     if backend_name == "numpy":
-        from repro.kernel.numpy_backend import SubsetMatrix
+        from repro.kernel import numpy_backend
         import numpy as np
 
         nodes = tuple(pool.types)
         rows = np.array(
             [[nodes.index(key) for key in keys] for keys in subsets], dtype=np.uint8
         )
-        batches.append(SubsetMatrix(nodes, rows))
-    for batch in batches:
+        matrix = numpy_backend.SubsetMatrix(nodes, rows)
+        runs += [(matrix, None), (subsets, 7), (matrix, 7)]
+    for batch, rows_at_a_time in runs:
+        if rows_at_a_time is not None:
+            monkeypatch.setattr(numpy_backend, "BATCH_SIZE", rows_at_a_time)
         bounds, seed = backend.subset_bounds(
             pool.index, batch, table_bounds(pool, size)
         )

@@ -17,13 +17,19 @@ These two traces reach the clique groups that bound pruning
     scores there round above their computed bound.
 
 Both were made with :func:`repro.workload.generate_trace` (seed 0,
-36 ops, ``ScenarioSpec(name=f"{domain}-bound-{i}", max_tables=...,
-structural_rate=0.1, burst_length=2, sweep_rate=0.25, stats_rate=0.04,
-clients=2)`` with ``i`` = 41 for music and 173 for film, ``max_tables``
-3 and 4) and stamped by :func:`repro.workload.record_digests` under
-``REPRO_KERNEL=oracle``, the per-subset heap merge that scores every
-subset.  The CI ``workload``, ``replicate`` and ``store`` jobs replay
-them through the remaining paths.
+36 ops, ``ScenarioSpec(name=f"{domain}-bound-{i}", structural_rate=0.1,
+burst_length=2, sweep_rate=0.25, stats_rate=0.04, clients=2)`` with
+``i`` = 41 for music and 173 for film) and stamped by
+:func:`repro.workload.record_digests` under ``REPRO_KERNEL=oracle``,
+the per-subset heap merge that scores every subset.  Pooled queries
+ask for at most 3 tables, so the film trace was generated with that
+cap raised to 4 in ``_build_query_pool``: it is committed data that
+the shipped generator does not reproduce.  Both headers' ``scenario``
+provenance records the cap each trace was made with as
+``max_tables``.  The music trace is regenerated from its recipe
+below.  The CI ``workload``,
+``replicate`` and ``store`` jobs replay both through the remaining
+paths.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ from repro import kernel
 from repro.core.apriori import qualifying_subsets
 from repro.core.constraints import DistanceConstraint, SizeConstraint
 from repro.core.discovery import make_context
-from repro.workload import WorkloadTrace, replay_trace
+from repro.workload import (
+    ScenarioSpec,
+    WorkloadTrace,
+    generate_trace,
+    replay_trace,
+)
 from repro.workload.replay import _starting_graph
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -67,6 +78,26 @@ def test_trace_reaches_its_large_groups(trace):
             == group
         }
         assert kinds == {"preview", "sweep"}, (name, group, kinds)
+
+
+def test_music_trace_regenerates_from_its_recipe():
+    """The music trace's ops are what its documented recipe generates."""
+    loaded = WorkloadTrace.load(DATA / "workload_music_large_groups.jsonl")
+    fresh = generate_trace(
+        domain="music",
+        seed=0,
+        ops=36,
+        scenario=ScenarioSpec(
+            name="music-bound-41",
+            structural_rate=0.1,
+            burst_length=2,
+            sweep_rate=0.25,
+            stats_rate=0.04,
+            clients=2,
+        ),
+    )
+    assert fresh.fingerprint == loaded.fingerprint
+    assert fresh.ops == loaded.with_digests([None] * len(loaded.ops)).ops
 
 
 @pytest.mark.parametrize("path", ["serial", "incremental"])
