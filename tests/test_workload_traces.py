@@ -2,7 +2,7 @@
 
 The golden trace (``tests/data/workload_golden.jsonl``) runs on
 architecture, whose largest scored batch has a few hundred subsets.
-These two traces reach the clique groups that bound pruning
+These traces reach the clique groups that bound pruning
 (``docs/scoring-kernel.md``) changes, and pin their unpruned answers:
 
 ``workload_music_large_groups.jsonl``
@@ -15,8 +15,14 @@ These two traces reach the clique groups that bound pruning
     exactly at the optimum, so the lowest-index rule decides the
     answer.  Entropy scores are not exact binary fractions, so some
     scores there round above their computed bound.
+``workload_random_walk_entropy.jsonl``
+    film 1/1000, random_walk × entropy.  Its reads score the k=3 d=1
+    diverse group (39,711 subsets) and the k=3 d=2 tight group (1,918
+    subsets) on both sides of non-structural writes, which keep the
+    engine's clique groups, and after two structural writes, which
+    drop them.
 
-Both were made with :func:`repro.workload.generate_trace` (seed 0,
+The first two were made with :func:`repro.workload.generate_trace` (seed 0,
 36 ops, ``ScenarioSpec(name=f"{domain}-bound-{i}", structural_rate=0.1,
 burst_length=2, sweep_rate=0.25, stats_rate=0.04, clients=2)`` with
 ``i`` = 41 for music and 173 for film) and stamped by
@@ -26,10 +32,12 @@ ask for at most 3 tables, so the film trace was generated with that
 cap raised to 4 in ``_build_query_pool``: it is committed data that
 the shipped generator does not reproduce.  Both headers' ``scenario``
 provenance records the cap each trace was made with as
-``max_tables``.  The music trace is regenerated from its recipe
-below.  The CI ``workload``,
-``replicate`` and ``store`` jobs replay both through the remaining
-paths.
+``max_tables``.  The random-walk trace was made the same way from
+48 ops of ``ScenarioSpec(name="film-walk-18", ...)`` with the same
+rates, scored ``key_scorer="random_walk", nonkey_scorer="entropy"``.
+The music and random-walk traces are regenerated from their recipes
+below.  The CI ``workload``, ``replicate`` and ``store`` jobs replay
+every trace through the remaining paths.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from repro import kernel
 from repro.core.apriori import qualifying_subsets
 from repro.core.constraints import DistanceConstraint, SizeConstraint
 from repro.core.discovery import make_context
+from repro.serve.host import apply_mutation, parse_mutation
 from repro.workload import (
     ScenarioSpec,
     WorkloadTrace,
@@ -56,6 +65,19 @@ DATA = Path(__file__).resolve().parent / "data"
 TRACES = {
     "workload_music_large_groups.jsonl": {(3, 2, "diverse"), (3, 3, "tight")},
     "workload_film_entropy_ties.jsonl": {(4, 3, "diverse")},
+    "workload_random_walk_entropy.jsonl": {(3, 1, "diverse"), (3, 2, "tight")},
+}
+
+#: Trace file -> the ``generate_trace`` arguments that made its ops.
+RECIPES = {
+    "workload_music_large_groups.jsonl": dict(domain="music", ops=36, name="music-bound-41"),
+    "workload_random_walk_entropy.jsonl": dict(
+        domain="film",
+        ops=48,
+        name="film-walk-18",
+        key_scorer="random_walk",
+        nonkey_scorer="entropy",
+    ),
 }
 
 
@@ -80,23 +102,56 @@ def test_trace_reaches_its_large_groups(trace):
         assert kinds == {"preview", "sweep"}, (name, group, kinds)
 
 
-def test_music_trace_regenerates_from_its_recipe():
-    """The music trace's ops are what its documented recipe generates."""
-    loaded = WorkloadTrace.load(DATA / "workload_music_large_groups.jsonl")
+def test_random_walk_trace_reads_its_groups_across_writes():
+    """Each listed group is read on both sides of a non-structural write.
+
+    The engine keeps a clique group across such a write and drops it
+    at a structural one, so the trace must hold both kinds.
+    """
+    name = "workload_random_walk_entropy.jsonl"
+    loaded = WorkloadTrace.load(DATA / name)
+    graph = _starting_graph(loaded)
+    read, pending, crossed, structural = set(), set(), set(), 0
+    for op in loaded.ops:
+        if op.op == "mutate":
+            before = graph.mutation_log.generation
+            apply_mutation(graph, *parse_mutation(op.params))
+            if graph.mutation_log.dirty_since(before).structural:
+                structural += 1
+                read, pending = set(), set()
+            else:
+                pending |= read
+        elif op.op in ("preview", "sweep") and op.params.get("d") is not None:
+            group = (op.params["k"], op.params["d"], op.params["mode"])
+            if group in pending:
+                crossed.add(group)
+            read.add(group)
+    assert structural
+    assert crossed >= TRACES[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_trace_regenerates_from_its_recipe(name):
+    """A trace's ops are what its documented recipe generates."""
+    loaded = WorkloadTrace.load(DATA / name)
+    recipe = dict(RECIPES[name])
     fresh = generate_trace(
-        domain="music",
         seed=0,
-        ops=36,
         scenario=ScenarioSpec(
-            name="music-bound-41",
+            name=recipe.pop("name"),
             structural_rate=0.1,
             burst_length=2,
             sweep_rate=0.25,
             stats_rate=0.04,
             clients=2,
         ),
+        **recipe,
     )
     assert fresh.fingerprint == loaded.fingerprint
+    assert (fresh.key_scorer, fresh.nonkey_scorer) == (
+        loaded.key_scorer,
+        loaded.nonkey_scorer,
+    )
     assert fresh.ops == loaded.with_digests([None] * len(loaded.ops)).ops
 
 
