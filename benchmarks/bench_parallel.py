@@ -6,15 +6,18 @@ efficiency-experiment domain) two ways and records both wall times:
 
 * **serial** — ``apriori_discover`` / ``brute_force_discover`` with no
   executor (``jobs=1``, the serial path) and no forced planner mode;
-* **sharded** — the same calls, all handed one warm 4-worker
-  :class:`~repro.parallel.ShardedExecutor` per leg, started and given
-  one untimed dispatch before the clock, as serve hosts and the
-  explore-grid workload keep theirs: the qualifying-subset list is
-  chunked across worker processes, each worker scores its shard against
-  a picklable :class:`~repro.parallel.ScoringSnapshot`, and the parent
-  materializes the winner (see :mod:`repro.parallel`).  No point pays
-  a pool start, so the leg measures where sharding pays, not process
-  start-up.
+* **sharded** — the same calls, all handed one warm
+  :class:`~repro.parallel.ShardedExecutor` per leg with one worker per
+  usable core, as serve hosts and the explore-grid workload keep
+  theirs: the qualifying-subset list is chunked across worker
+  processes, each worker scores its shard against a picklable
+  :class:`~repro.parallel.ScoringSnapshot`, and the parent
+  materializes the winner (see :mod:`repro.parallel`).
+
+Each leg makes one untimed pass over its points before its clock
+starts, so both legs are timed with the distance table built, the
+pool's columns lowered and (sharded) every worker started: the leg
+measures where sharding pays, not cache warm-up or process start-up.
 
 The Fig. 9-style grid leans on the constraint the paper itself flags as
 expensive (tight ``d=3`` at ``k=4``: ~250k qualifying subsets on music),
@@ -56,9 +59,8 @@ from repro.core.constraints import (  # noqa: E402
 from repro.parallel import ShardedExecutor  # noqa: E402
 
 DOMAIN = "music"
-JOBS = 4
 #: Required sharded-over-serial speedup — asserted only on hardware with
-#: at least JOBS usable cores (see module docstring).
+#: at least as many usable cores as workers (see module docstring).
 SPEEDUP_FLOOR = 2.0
 RESULT_FILE = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 
@@ -77,21 +79,26 @@ BRUTE_FORCE_POINTS = (
 )
 
 
-def run_points(context, discover, points, executor=None):
-    """Time one leg: serial without ``executor``, forced sharded with it."""
+def answer_points(context, discover, points, executor):
     results = []
-    before = plan.decision_counts()
+    for k, n, d, mode in points:
+        size = SizeConstraint(k=k, n=n)
+        distance = DistanceConstraint.from_mode(d, mode) if d is not None else None
+        results.append(discover(context, size, distance, executor=executor))
+    return results
+
+
+def run_points(context, discover, points, executor=None):
+    """Time one leg after one untimed pass over its points: serial
+    without ``executor``, forced sharded with it."""
     forced = (
         plan.use_mode("sharded") if executor is not None else contextlib.nullcontext()
     )
     with forced:
+        answer_points(context, discover, points, executor)
+        before = plan.decision_counts()
         start = time.perf_counter()
-        for k, n, d, mode in points:
-            size = SizeConstraint(k=k, n=n)
-            distance = (
-                DistanceConstraint.from_mode(d, mode) if d is not None else None
-            )
-            results.append(discover(context, size, distance, executor=executor))
+        results = answer_points(context, discover, points, executor)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     after = plan.decision_counts()
     decisions = {
@@ -110,18 +117,11 @@ def compare(points, serial_results, sharded_results):
     return mismatches
 
 
-def warm_up(executor, context):
-    """Start ``executor``'s workers with one small untimed dispatch."""
-    pool = context.candidate_pool()
-    executor.best_allocation(pool, [(key,) for key in pool.eligible[:JOBS]], 1)
-
-
-def bench_leg(name, context, discover, points):
+def bench_leg(name, context, discover, points, jobs):
     serial_ms, serial_results, serial_decisions = run_points(
         context, discover, points
     )
-    with ShardedExecutor(JOBS) as executor:
-        warm_up(executor, context)
+    with ShardedExecutor(jobs) as executor:
         sharded_ms, sharded_results, sharded_decisions = run_points(
             context, discover, points, executor=executor
         )
@@ -142,22 +142,21 @@ def bench_leg(name, context, discover, points):
 
 def run_benchmark():
     context = domain_context(DOMAIN)
-    context.candidate_pool()  # shared precomputation outside both timings
-    cpus = plan.usable_cpus()
+    cpus = jobs = plan.usable_cpus()
     legs = [
-        bench_leg("apriori", context, apriori_discover, APRIORI_POINTS),
+        bench_leg("apriori", context, apriori_discover, APRIORI_POINTS, jobs),
         bench_leg(
-            "brute-force", context, brute_force_discover, BRUTE_FORCE_POINTS
+            "brute-force", context, brute_force_discover, BRUTE_FORCE_POINTS, jobs
         ),
     ]
     # The planner's single-core veto: with one usable core, worker
     # processes serialize and the sharded leg measures pure dispatch
     # overhead — its speedup says nothing about the sharded path.
-    vetoed = min(JOBS, cpus) <= 1
+    vetoed = min(jobs, cpus) <= 1
     payload = {
         "benchmark": "parallel_sharding",
         "domain": DOMAIN,
-        "jobs": JOBS,
+        "jobs": jobs,
         "cpus": cpus,
         "kernel_backend": kernel.backend_name(),
         "shard_threshold": kernel.active_backend().shard_threshold,

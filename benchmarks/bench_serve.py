@@ -6,8 +6,8 @@ over the real socket path, on the film domain.
 
 **Throughput leg (the headline number).**  The workload is the live-graph
 serving pattern: a stream of mutations interleaved with the flagship
-tight query, where every mutation dirties the query's dependency set
-(so answering after a write genuinely recomputes, ~20 ms).  Both legs
+tight query, where every mutation dirties a key type and so clears the
+engine's memo (answering after a write genuinely recomputes, ~20 ms).  Both legs
 process an identical request mix — 8 mutations plus 8 identical preview
 requests per round — differing only in arrival pattern:
 
@@ -98,9 +98,8 @@ def run_benchmark():
         with ServeClient(port=server.port, timeout=60.0) as warmup:
             first = warmup.preview(**PARAMS)
             expect(first)
-            # The key type of the winning preview is, by construction,
-            # in the flagship query's dependency set: adding an entity
-            # of that type makes every post-write query recompute.
+            # Adding an entity of the winning preview's key type dirties
+            # that type, so every post-write query recomputes.
             dirty_type = first["result"]["tables"][0]["key"]
 
         # -- Leg 1: live-update throughput ------------------------------

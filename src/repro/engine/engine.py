@@ -21,17 +21,16 @@ sub-plans out of per-query execution:
   call, without its clique enumeration;
 * **Invalidation** — when constructed over a generation-tracked source
   (:class:`~repro.ext.incremental.IncrementalEntityGraph`), the caches
-  are synchronized with the source's ``generation`` counter.  A source
-  that additionally exposes the mutation changelog (``dirty_since``)
-  gets *type-scoped* invalidation: every memo entry is keyed with the
-  key-type dependency set of its :class:`DiscoveryResult`, and a
-  non-structural mutation evicts only the entries whose dependency set
-  intersects the dirty types — untouched sweep points survive the
-  mutation, and qualifying-subset enumerations are kept outright (they
-  depend only on schema structure).  Structural mutations (new
-  entity/relationship types), unknown baselines and non-delta-capable
-  scorer pairs (random walk, entropy) fall back to the full cache drop,
-  so the fast path is never trusted beyond what the scorers guarantee.
+  are synchronized with the source's ``generation`` counter through
+  its mutation changelog (``dirty_since``), by one rule for every
+  scorer pair.  An empty delta (pure no-op mutations) keeps
+  everything.  Any other non-structural delta clears the result memo,
+  since a tight/diverse result depends on every type of its group and
+  a concise one on the whole eligible set, and keeps the clique
+  groups, which read only eligibility and distances: both follow
+  from schema structure under every scorer.  A structural delta (a
+  new entity or relationship type), a baseline older than the
+  changelog, or a source without one drops both.
 
 Algorithms resolve through :data:`~repro.core.registry.DISCOVERY_ALGORITHMS`;
 a third-party algorithm registered there is immediately servable by the
@@ -41,18 +40,14 @@ engine with full memoization (though without the clique-group reuse).
 from __future__ import annotations
 
 import logging
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import kernel, plan
 from ..core.apriori import (
     _registered_apriori as _builtin_apriori_runner,
     qualifying_subsets,
 )
-from ..core.branch_bound import branch_and_bound_discover as _builtin_branch_bound
 from ..core.brute_force import brute_force_discover as _builtin_brute_force
-from ..core.dynamic_prog import (
-    _registered_dynamic_programming as _builtin_dynamic_programming,
-)
 from ..core.candidates import discover_among, eligible_key_types
 from ..core.constraints import (
     DistanceConstraint,
@@ -63,24 +58,12 @@ from ..core.discovery import make_context
 from ..core.preview import DiscoveryResult
 from ..core.registry import AlgorithmSpec, resolve_algorithm
 from ..exceptions import InfeasiblePreviewError
-from ..kernel.base import Subsets, subset_members
-from ..model.ids import TypeId
+from ..kernel.base import Subsets
 from ..parallel import ShardedExecutor
-from ..scoring.base import scorer_pair_supports_delta
 from ..scoring.preview_score import ScoringContext
 from .query import PreviewQuery
 
 logger = logging.getLogger(__name__)
-
-#: Built-in runners that provably read only *eligible* types' scores
-#: (their enumerations all start from ``eligible_key_types``); their
-#: results therefore depend on the eligible set, not every type.
-_ELIGIBLE_ONLY_RUNNERS = (
-    _builtin_apriori_runner,
-    _builtin_branch_bound,
-    _builtin_brute_force,
-    _builtin_dynamic_programming,
-)
 
 
 class PreviewEngine:
@@ -94,8 +77,8 @@ class PreviewEngine:
         object exposing a ``generation`` attribute and a
         ``context(key_scorer, nonkey_scorer)`` method, such as
         :class:`~repro.ext.incremental.IncrementalEntityGraph`.  With a
-        tracked source, every mutation of the underlying graph
-        invalidates the engine's caches automatically.
+        tracked source, the engine's caches follow every mutation of
+        the underlying graph automatically.
     key_scorer, nonkey_scorer:
         Scoring measure names; ignored when ``data`` is a prebuilt
         context.
@@ -139,33 +122,9 @@ class PreviewEngine:
         #: re-registered algorithm never serves a stale predecessor's
         #: results from a live engine.
         self._results: Dict[Tuple, Optional[DiscoveryResult]] = {}
-        #: Memo key -> the key types its result depends on; a mutation
-        #: dirtying a disjoint set provably cannot change the result, so
-        #: the entry survives type-scoped invalidation.
-        self._result_deps: Dict[Tuple, FrozenSet[TypeId]] = {}
         #: (k, d, mode) -> qualifying key subsets, in the Apriori clique
         #: enumeration order (so score ties resolve identically).
         self._subsets: Dict[Tuple, Subsets] = {}
-        #: (k, d, mode) -> union of the group's subset types (the
-        #: dependency set of every result answered from that group),
-        #: filled on first read, which only dependency tracking makes.
-        self._group_deps: Dict[Tuple, FrozenSet[TypeId]] = {}
-        #: Whether this engine's scorer pair allows type-scoped eviction
-        #: (both scorers must declare ``supports_delta``); resolved once
-        #: from the scorer registries, False for unknown names.
-        self._delta_capable = scorer_pair_supports_delta(key_scorer, nonkey_scorer)
-        #: Dependency sets are only worth recording when a type-scoped
-        #: eviction can ever consult them: a changelog-bearing source
-        #: plus a delta-capable scorer pair.
-        self._track_deps = bool(
-            self._delta_capable
-            and self._source is not None
-            and callable(getattr(self._source, "dirty_since", None))
-        )
-        #: Interned "eligible set" dependency value (one per pool
-        #: lifetime — eligibility only changes structurally, and a
-        #: structural change fully invalidates).
-        self._eligible_deps: Optional[FrozenSet[TypeId]] = None
         self._cache_generation = self.generation
         self._hits = 0
         self._misses = 0
@@ -204,10 +163,7 @@ class PreviewEngine:
         """Drop every cached result and clique group (full reset)."""
         self._evicted += len(self._results)
         self._results.clear()
-        self._result_deps.clear()
         self._subsets.clear()
-        self._group_deps.clear()
-        self._eligible_deps = None
         self._invalidations += 1
 
     def cache_info(self) -> Dict[str, object]:
@@ -216,12 +172,11 @@ class PreviewEngine:
         Synchronizes with the tracked source first, so a mutation is
         reflected here (fresh generation, dropped caches) even before
         the next query observes it.  ``retained``/``evicted`` count memo
-        entries that survived vs. were dropped across all invalidation
-        events so far: a full invalidation evicts everything, while a
-        type-scoped one (mutation-changelog sources, delta-capable
-        scorers) evicts only entries whose dependency set intersects the
-        dirty types.  ``invalidations`` counts the *full* cache drops
-        only.  ``profile_groups`` counts the cached ``(k, d, mode)``
+        entries kept vs. dropped across all generation changes so far:
+        only a no-op delta keeps entries, and any other write drops
+        every one.  ``invalidations`` counts the *full* cache drops
+        only, the ones that drop the clique groups too.
+        ``profile_groups`` counts the cached ``(k, d, mode)``
         qualifying-subset groups: the pruning state every tight/diverse
         point of a group shares, whatever its ``n``.  (The name dates
         from when sweeps also cached per-subset allocation profiles;
@@ -255,48 +210,18 @@ class PreviewEngine:
         generation = self.generation
         if generation == self._cache_generation:
             return
-        delta = self._dirty_delta(self._cache_generation)
-        if delta is None:
-            self.invalidate()
-        elif not delta.empty:
-            self._evict_dirty(frozenset(delta.key_types))
-        # An empty delta (pure no-op mutations) retains every cache.
-        self._cache_generation = generation
-
-    def _dirty_delta(self, since: int):
-        """The non-structural dirty delta since ``since``, else None.
-
-        None — meaning "fall back to a full invalidation" — whenever the
-        source does not expose the mutation changelog, the scorer pair
-        is not delta-capable, the baseline predates the changelog's
-        retention window, or the delta contains a structural mutation.
-        """
-        if self._source is None or not self._delta_capable:
-            return None
         dirty_since = getattr(self._source, "dirty_since", None)
-        if dirty_since is None:
-            return None
-        delta = dirty_since(since)
-        if delta.structural or delta.full:
-            return None
-        return delta
-
-    def _evict_dirty(self, dirty: FrozenSet[TypeId]) -> None:
-        """Type-scoped invalidation for one non-structural dirty set.
-
-        Memo entries whose dependency set intersects ``dirty`` are
-        dropped; the rest — results over provably untouched scores —
-        survive.  Qualifying-subset enumerations depend only on schema
-        structure and are kept outright.
-        """
-        stale_keys = [
-            key for key, deps in self._result_deps.items() if deps & dirty
-        ]
-        for key in stale_keys:
-            del self._results[key]
-            del self._result_deps[key]
-        self._evicted += len(stale_keys)
-        self._retained += len(self._results)
+        delta = None if dirty_since is None else dirty_since(self._cache_generation)
+        if delta is None or not delta.patchable:
+            self.invalidate()
+        elif delta.empty:
+            self._retained += len(self._results)
+        else:
+            # Clique groups read only eligibility and distances, which
+            # a non-structural write cannot move.
+            self._evicted += len(self._results)
+            self._results.clear()
+        self._cache_generation = generation
 
     # ------------------------------------------------------------------
     # Queries
@@ -484,41 +409,7 @@ class PreviewEngine:
         self._kernel_subsets += after["subsets"] - before["subsets"]
         self._misses += 1
         self._results[cache_key] = result
-        if self._track_deps:
-            self._result_deps[cache_key] = self._dependencies(spec, query)
         return result
-
-    def _dependencies(self, spec: AlgorithmSpec, query: PreviewQuery) -> FrozenSet[TypeId]:
-        """The key types whose scores this query's result depends on.
-
-        Called after :meth:`_execute`, so fast-path groups are already
-        enumerated.  Three tiers, each sound under *non-structural*
-        mutations (type universe, ``Γτ`` membership, distances and
-        eligibility all fixed):
-
-        * Apriori fast path — the union of the group's qualifying
-          subsets: the result is the argmax over those subsets'
-          allocations, and each allocation reads only its own types'
-          scores;
-        * other built-ins — the eligible set: their enumerations draw
-          keys from ``eligible_key_types`` and read nothing else;
-        * third-party algorithms — every type (they may read anything).
-        """
-        distance = query.distance()
-        if distance is not None and spec.runner is _builtin_apriori_runner:
-            group_key = (query.size().k, distance.d, distance.mode.value)
-            deps = self._group_deps.get(group_key)
-            if deps is None and group_key in self._subsets:
-                deps = subset_members(self._subsets[group_key])
-                self._group_deps[group_key] = deps
-            if deps is not None:
-                return deps
-        pool = self.context.candidate_pool()
-        if spec.runner in _ELIGIBLE_ONLY_RUNNERS:
-            if self._eligible_deps is None:
-                self._eligible_deps = frozenset(pool.eligible)
-            return self._eligible_deps
-        return frozenset(pool.types)
 
     def _execute(
         self,
@@ -556,10 +447,9 @@ class PreviewEngine:
     ) -> Subsets:
         """The qualifying key subsets of the ``(k, d, mode)`` group.
 
-        Enumerated once per generation (kept across non-structural
-        mutations) by :func:`repro.core.apriori.qualifying_subsets`, the
-        same call ``apriori_discover`` makes, so score ties resolve
-        identically.
+        Enumerated once, and kept until a structural mutation, by
+        :func:`repro.core.apriori.qualifying_subsets`, the same call
+        ``apriori_discover`` makes, so score ties resolve identically.
         """
         group_key = (size.k, distance.d, distance.mode.value)
         subsets = self._subsets.get(group_key)

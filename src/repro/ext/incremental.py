@@ -35,8 +35,9 @@ cannot.  This module supplies that omitted machinery:
   API: callers re-run discovery (cheap — Fig. 8) against fresh scores.
   :meth:`IncrementalEntityGraph.engine` returns a
   :class:`~repro.engine.PreviewEngine` bound to this graph, which reads
-  the same changelog through :meth:`IncrementalEntityGraph.dirty_since`
-  to evict only the memo entries a delta can have changed.
+  the same changelog through :meth:`IncrementalEntityGraph.dirty_since`:
+  a dirtying write clears its result memo, and only a structural one
+  drops its clique groups too.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class IncrementalEntityGraph:
 
         The engine-facing changelog read: a
         :class:`~repro.engine.PreviewEngine` bound to this graph calls
-        it to decide between type-scoped eviction (non-structural
-        deltas) and a full cache drop.
+        it once per generation change to decide between keeping its
+        caches (empty delta), clearing its result memo (non-structural
+        delta) and a full cache drop.
         """
         return self._graph.mutation_log.dirty_since(generation)
 
@@ -231,8 +233,9 @@ class IncrementalEntityGraph:
         One engine per scorer pair is kept alive for the graph's
         lifetime, so repeated queries between mutations hit its memo
         cache; any mutation bumps :attr:`generation`, which the engine
-        observes and answers by reading :meth:`dirty_since` and evicting
-        the cached results the delta can have changed.
+        observes and answers by reading :meth:`dirty_since`: a dirtying
+        delta clears the memo, and a structural one drops the clique
+        groups too.
         """
         cache_key = (key_scorer, nonkey_scorer)
         engine = self._engines.get(cache_key)

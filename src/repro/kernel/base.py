@@ -51,8 +51,7 @@ checked against it on arbitrary pools.
 from __future__ import annotations
 
 import threading
-from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.cliques import k_cliques
 from ..model.ids import TypeId
@@ -96,19 +95,6 @@ def reset_kernel_stats() -> None:
     with _STATS_LOCK:
         _BATCHES = 0
         _SUBSETS = 0
-
-
-def subset_members(subsets: Subsets) -> FrozenSet[TypeId]:
-    """The distinct key types that occur in at least one of ``subsets``.
-
-    A compact group from :meth:`KernelBackend.qualifying_subsets` that
-    offers ``members()`` answers from its distinct member ids; any other
-    sequence is scanned tuple by tuple.
-    """
-    members = getattr(subsets, "members", None)
-    if members is not None:
-        return members()
-    return frozenset(chain.from_iterable(subsets))
 
 
 class KernelBackend:

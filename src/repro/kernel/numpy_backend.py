@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from itertools import chain
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -94,12 +94,6 @@ class SubsetMatrix(Sequence):
 
     def __reduce__(self):
         return SubsetMatrix, (self.nodes, self.rows)
-
-    def members(self) -> FrozenSet[TypeId]:
-        """The distinct types that occur in at least one subset."""
-        present = np.zeros(len(self.nodes), dtype=bool)
-        present[self.rows.ravel()] = True
-        return frozenset(self.nodes[i] for i in np.flatnonzero(present).tolist())
 
 
 class NumpyColumns:

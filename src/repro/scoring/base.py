@@ -148,9 +148,9 @@ def _supports_delta(scorer, registry: Mapping[str, Callable]) -> bool:
 def scorer_pair_supports_delta(key_scorer, nonkey_scorer) -> bool:
     """Whether a scorer pairing allows per-type delta maintenance.
 
-    The single source of truth for every delta-pipeline decision (the
-    engine's type-scoped eviction, the incremental wrapper's context
-    patching): both scorers must declare :attr:`supports_delta`.
+    The single source of truth for whether a scoring context is patched
+    or rebuilt across a non-structural write: both scorers must declare
+    :attr:`supports_delta`.
     Accepts instances, classes, or registry names; unknown names (and
     non-class factories) answer False, which degrades to a full
     rebuild — always sound.

@@ -12,7 +12,7 @@ the serving stack was built for:
   way imports and backfills do, stressing invalidation batching;
 * **structural-change spikes** — occasional mutations introduce a
   brand-new entity type, forcing the full-invalidation path instead of
-  type-scoped patching;
+  patching;
 * **multi-client interleavings** — ops carry a logical client id; the
   serve replayer maps each id to its own connection while the trace
   order stays the total order.

@@ -18,8 +18,8 @@ across all four:
 ``incremental``
     One long-lived :class:`~repro.ext.incremental.IncrementalEntityGraph`
     and its warm engine: mutations flow through the delta pipeline
-    (type-scoped invalidation, patched scoring contexts, surviving memo
-    entries).  After every op the engine's ``cache_info()`` accounting
+    (patched scoring contexts, clique groups kept across non-structural
+    writes).  After every op the engine's ``cache_info()`` accounting
     is checked (counters monotonic and non-negative, generation in step
     with the graph, each read accounted as exactly one hit-or-miss per
     query); the replay finishes with a full

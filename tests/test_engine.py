@@ -362,9 +362,7 @@ class TestEngineCacheInvalidation:
             live.add_relationship("director0", f"film{i + 3}", DIRECTED)
 
         after = engine.query(k=1, n=2)
-        # FILM/DIRECTOR scores moved, and the concise result depends on
-        # them: the entry must have been evicted (type-scoped, not a
-        # full invalidation — coverage scorers are delta-capable).
+        # FILM/DIRECTOR scores moved, so the writes evicted the entry.
         assert engine.cache_info()["evicted"] >= 1
         assert engine.cache_info()["generation"] == live.generation
         assert after.score > before.score  # re-solved against fresh scores
@@ -400,11 +398,10 @@ class TestEngineCacheInvalidation:
         a tracked-source mutation and the next query it reported the old
         generation alongside pre-invalidation cache sizes.
 
-        Since the delta pipeline, the mutation (an entity of the
-        existing FILM type — non-structural, coverage scorers) triggers
-        a *type-scoped* eviction: both cached results depend on FILM, so
-        both are evicted, but the clique group survives (it depends on
-        schema structure only) and no full invalidation is recorded.
+        The mutation (an entity of the existing FILM type) is
+        non-structural, so both cached results are evicted, but the
+        clique group survives (it depends on schema structure only) and
+        no full invalidation is recorded.
         """
         engine = live.engine()
         engine.query(k=1, n=2)
@@ -415,7 +412,7 @@ class TestEngineCacheInvalidation:
         assert info["generation"] == live.generation
         assert info["results"] == 0  # evicted, not the stale sizes
         assert info["profile_groups"] == 1  # clique group retained
-        assert info["invalidations"] == 0  # type-scoped, not a full drop
+        assert info["invalidations"] == 0  # memo only, not a full drop
         assert info["evicted"] == 2 and info["retained"] == 0
 
     def test_sweep_fast_path_under_interleaved_mutation(self, live):
@@ -500,29 +497,6 @@ class TestSweepThroughKernel:
         engine.sweep(grid, skip_infeasible=True)
         assert len(built) == len(grid)
 
-    def test_type_scoped_mutation_recomputes_only_dependent_points(
-        self, monkeypatch
-    ):
-        inc = live_graph()
-        engine = inc.engine()
-        grid = self.TIGHT + self.DIVERSE
-        engine.sweep(grid, skip_infeasible=True)
-        built = count_profile_builds(monkeypatch)
-        before = engine.cache_info()
-        # FILM is in the tight group's subsets but not the diverse one's.
-        inc.add_entity("film-new", ["FILM"])
-        results = engine.sweep(grid, skip_infeasible=True)
-        after = engine.cache_info()
-        assert after["invalidations"] == before["invalidations"]
-        computed = after["misses"] - before["misses"]
-        assert computed == len(self.TIGHT)
-        assert after["hits"] - before["hits"] == len(self.DIVERSE)
-        assert all(result is not None for result in results)
-        assert len(built) == computed
-        assert {frozenset(keys) for keys in built} <= {
-            frozenset(result.preview.keys()) for result in results
-        }
-
     def test_profile_groups_counts_cached_clique_groups(self):
         inc = live_graph()
         engine = inc.engine()
@@ -587,19 +561,31 @@ def apply_mutation(inc: IncrementalEntityGraph, op) -> None:
 
 
 class TestSweepOracleProperty:
+    @pytest.mark.parametrize(
+        "key_scorer, nonkey_scorer",
+        [
+            ("coverage", "coverage"),
+            ("random_walk", "coverage"),
+            ("coverage", "entropy"),
+        ],
+    )
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(oracle_ops)
-    def test_sweeps_match_one_shot_oracle_runs(self, op_list):
+    @given(op_list=oracle_ops)
+    def test_sweeps_match_one_shot_oracle_runs(
+        self, key_scorer, nonkey_scorer, op_list
+    ):
         """Every sweep answer along a random mutate/sweep interleaving
         equals a one-shot ``run`` on a fresh engine scored by the
         per-subset ``oracle`` kernel: same preview, same score bits,
-        same number of candidates examined."""
+        same number of candidates examined.  The warm engine keeps its
+        clique groups across non-structural writes, under every scorer
+        pair."""
         inc = live_graph()
-        engine = inc.engine()
+        engine = inc.engine(key_scorer, nonkey_scorer)
         closing = [("sweep", index) for index in range(len(ORACLE_SWEEPS))]
         for op in list(op_list) + closing:
             if op[0] != "sweep":
@@ -610,7 +596,11 @@ class TestSweepOracleProperty:
             for query, answer in zip(grid, answers):
                 with kernel.use_backend("oracle"):
                     try:
-                        expected = PreviewEngine(inc.entity_graph).run(query)
+                        expected = PreviewEngine(
+                            inc.entity_graph,
+                            key_scorer=key_scorer,
+                            nonkey_scorer=nonkey_scorer,
+                        ).run(query)
                     except InfeasiblePreviewError:
                         expected = None
                 if expected is None:

