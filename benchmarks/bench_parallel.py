@@ -152,7 +152,7 @@ def run_benchmark():
     # The planner's single-core veto: with one usable core, worker
     # processes serialize and the sharded leg measures pure dispatch
     # overhead — its speedup says nothing about the sharded path.
-    vetoed = min(jobs, cpus) <= 1
+    vetoed = cpus <= 1
     payload = {
         "benchmark": "parallel_sharding",
         "domain": DOMAIN,

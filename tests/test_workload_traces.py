@@ -87,47 +87,30 @@ def trace(request):
 
 
 def test_trace_reaches_its_large_groups(trace):
-    """Each listed group is read by a preview and by a sweep."""
+    """Each listed group is read by a preview and by a sweep, and on both
+    sides of a non-structural write (the engine keeps the group across
+    it)."""
     name, loaded = trace
     assert loaded.has_digests()
-    assert any(op.op == "mutate" for op in loaded.ops)
-    for group in TRACES[name]:
-        kinds = {
-            op.op
-            for op in loaded.ops
-            if op.op in ("preview", "sweep")
-            and (op.params["k"], op.params.get("d"), op.params.get("mode"))
-            == group
-        }
-        assert kinds == {"preview", "sweep"}, (name, group, kinds)
-
-
-def test_random_walk_trace_reads_its_groups_across_writes():
-    """Each listed group is read on both sides of a non-structural write.
-
-    The engine keeps a clique group across such a write and drops it
-    at a structural one, so the trace must hold both kinds.
-    """
-    name = "workload_random_walk_entropy.jsonl"
-    loaded = WorkloadTrace.load(DATA / name)
     graph = _starting_graph(loaded)
-    read, pending, crossed, structural = set(), set(), set(), 0
+    kinds, read, pending, crossed = {}, set(), set(), set()
     for op in loaded.ops:
         if op.op == "mutate":
             before = graph.mutation_log.generation
             apply_mutation(graph, *parse_mutation(op.params))
             if graph.mutation_log.dirty_since(before).structural:
-                structural += 1
                 read, pending = set(), set()
             else:
                 pending |= read
-        elif op.op in ("preview", "sweep") and op.params.get("d") is not None:
-            group = (op.params["k"], op.params["d"], op.params["mode"])
+        elif op.op in ("preview", "sweep"):
+            group = (op.params["k"], op.params.get("d"), op.params.get("mode"))
+            kinds.setdefault(group, set()).add(op.op)
             if group in pending:
                 crossed.add(group)
             read.add(group)
-    assert structural
-    assert crossed >= TRACES[name]
+    for group in TRACES[name]:
+        assert kinds.get(group) == {"preview", "sweep"}, (name, group, kinds.get(group))
+        assert group in crossed, (name, group)
 
 
 @pytest.mark.parametrize(
