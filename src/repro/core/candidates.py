@@ -293,8 +293,20 @@ def bound_floor(incumbent: float, n: int) -> float:
     branch-and-bound search sums the same ``k`` table terms in another
     order, so the same floor holds for its bounds.
     """
+    return incumbent * (1.0 - sum_margin(n))
+
+
+def sum_margin(n: int) -> float:
+    """``2γ(n) + 3u``: the relative margin of :func:`bound_floor`.
+
+    Two sums of at most ``n`` roundings per non-negative term, computed
+    in any orders, differ from their exact values by factors within
+    ``1 ± γ(n)``; the ``3u`` absorbs the roundings of applying the
+    margin.  The concise DP prunes dominated key types against the same
+    margin (:func:`repro.core.dynamic_prog.undominated_rows`).
+    """
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return incumbent * (1.0 - (2.0 * gamma + 3.0 * _UNIT_ROUNDOFF))
+    return 2.0 * gamma + 3.0 * _UNIT_ROUNDOFF
 
 
 def upper_bound_for_keys(

@@ -87,7 +87,10 @@ def all_pairs_shortest_paths(graph: UndirectedGraph) -> Dict[Node, Dict[Node, in
 
     Runs one BFS per node: O(V * (V + E)).  Schema graphs have at most a
     few hundred vertices (Table 2), so this is cheap and is what the paper
-    precomputes before preview discovery.
+    precomputes before preview discovery.  The distance oracle
+    (:class:`~repro.graph.distance.DistanceOracle`) computes the same
+    table over integer positions; this dictionary form is the reference
+    its tests diff against.
     """
     return {node: shortest_path_lengths(graph, node) for node in graph.nodes()}
 

@@ -8,11 +8,13 @@ absent, and :mod:`repro.kernel` turns that into a
 **Enumeration.**  :meth:`NumpyBackend.qualifying_subsets` runs Alg. 3's
 first step over integer ids.  L2 seeding is one threshold of the
 schema's dense distance table (``dist <= d`` tight, ``dist >= d``
-diverse, diagonal excluded); each join level keeps, per row, the nodes
-above its last member that are compatible with every member, and
-``np.nonzero`` emits them in row-major order — the lexicographic order
-of :func:`~repro.graph.cliques.apriori_k_cliques`, so every tie-break
-is unchanged.  The group comes back as a :class:`SubsetMatrix`: one
+diverse), cut to its strictly upper triangle.  Each join level keeps,
+per row, the nodes in its last member's upper row that are compatible
+with every other member; ``np.repeat`` copies each row once per
+extension and ``np.flatnonzero`` lists the extensions in row-major
+order — the lexicographic order of
+:func:`~repro.graph.cliques.apriori_k_cliques`, so every tie-break is
+unchanged.  The group comes back as a :class:`SubsetMatrix`: one
 ``(m, k)`` matrix of node indices in the smallest unsigned dtype that
 holds them, behind a read-only sequence of key tuples, with no
 per-subset Python objects.
@@ -265,28 +267,30 @@ class NumpyBackend(KernelBackend):
     # Enumeration
     # ------------------------------------------------------------------
     @staticmethod
-    def _join(level: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
+    def _join(level: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """Level ``i + 1`` of the Apriori join from lexicographic level ``i``.
 
-        Row ``r`` extends by every node above its last member that is
-        adjacent to all of its members; ``np.nonzero`` yields ``(r,
-        node)`` pairs row-major, so the result stays lexicographic.
-        ``level`` must be non-empty.
+        ``upper`` is the strictly-upper compatibility matrix: ``upper[a,
+        b]`` holds when ``a < b`` and the pair meets the bound.  Row
+        ``r`` extends by every node set in its last member's ``upper``
+        row and in every other member's (each lies below the last
+        member, so its upper row covers every node above it);
+        ``np.flatnonzero`` yields those ``(r, node)`` pairs row-major,
+        so the result stays lexicographic.  ``level`` must be non-empty.
         """
-        above = np.arange(adjacent.shape[0])
+        width = upper.shape[0]
         parts = []
         for start in range(0, len(level), BATCH_SIZE):
             chunk = level[start : start + BATCH_SIZE]
-            extend = above > chunk[:, -1:]
-            for j in range(chunk.shape[1]):
-                extend &= adjacent[chunk[:, j]]
-            parent, tail = np.nonzero(extend)
-            parts.append(
-                np.concatenate(
-                    (chunk[parent], tail.astype(level.dtype)[:, None]), axis=1
-                )
-            )
-        return np.concatenate(parts)
+            extend = upper[chunk[:, -1]]
+            for j in range(chunk.shape[1] - 1):
+                extend &= upper[chunk[:, j]]
+            counts = np.count_nonzero(extend, axis=1)
+            part = np.empty((int(counts.sum()), chunk.shape[1] + 1), level.dtype)
+            part[:, :-1] = np.repeat(chunk, counts, axis=0)
+            part[:, -1] = np.flatnonzero(extend) % width
+            parts.append(part)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # ------------------------------------------------------------------
     # KernelBackend surface
@@ -311,12 +315,13 @@ class NumpyBackend(KernelBackend):
         else:
             adjacent = table >= distance.d
         # L2 seeding (Alg. 3 lines 1-5): pairs i < j, lexicographic.
-        first, second = np.nonzero(np.triu(adjacent, 1))
+        upper = np.triu(adjacent, 1)
+        first, second = np.nonzero(upper)
         level = np.stack((first, second), axis=1).astype(dtype)
-        # Joins (lines 6-12).  The diagonal never matters: a row only
-        # extends by nodes above its last member.
+        # Joins (lines 6-12) over the same strictly-upper rows: a row
+        # only extends by nodes above its last member.
         while level.shape[1] < k and len(level):
-            level = self._join(level, adjacent)
+            level = self._join(level, upper)
         if level.shape[1] != k:
             level = np.empty((0, k), dtype=dtype)
         return SubsetMatrix(nodes, level)

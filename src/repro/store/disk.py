@@ -43,6 +43,7 @@ store never materializes.  See ``docs/disk-store.md``.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import re
@@ -243,6 +244,11 @@ def encode_store(graph: EntityGraph) -> bytes:
 def build_store(graph: EntityGraph, path: PathLike) -> int:
     """Write :func:`encode_store`'s image of ``graph`` to ``path``.
 
+    The image goes to a new temporary file in ``path``'s directory, is
+    flushed to disk, and is renamed onto ``path`` in one step.  A store
+    already at ``path`` is never written in place, so a process that
+    has it mapped keeps reading the old file, and a write that fails
+    removes its temporary file and leaves the old store as it was.
     Returns the bytes written.
 
     Raises
@@ -252,9 +258,19 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
         no file is created then) or the file cannot be written.
     """
     image = encode_store(graph)
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(path, "wb") as handle:
-            handle.write(image)
+        try:
+            with open(temporary, "xb") as handle:
+                handle.write(image)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temporary, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+            raise
     except OSError as exc:
         raise DiskStoreError(f"cannot write store file {path!s}: {exc}") from exc
     return len(image)

@@ -14,10 +14,14 @@ Two properties carry the module:
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -170,6 +174,74 @@ class TestRoundTrip:
         clone.add_entity("NEW ONE", ["FILM"])
         assert clone.generation == source.generation
         assert graph_fingerprint(clone) == graph_fingerprint(source)
+
+
+# ----------------------------------------------------------------------
+# Rebuilding a store in place
+# ----------------------------------------------------------------------
+#: Opens a store, waits for a line on stdin, then materializes it.
+_EARLY_READER = """
+import sys
+from repro.datasets.loader import graph_fingerprint
+from repro.store import open_store
+store = open_store(sys.argv[1])
+print("open", flush=True)
+sys.stdin.readline()
+print(graph_fingerprint(store.entity_graph()), flush=True)
+"""
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_write_leaves_the_old_store(
+        self, fig1_store, monkeypatch, failing
+    ):
+        """A rebuild that fails before its rename changes nothing on disk."""
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        other = generate_domain("architecture", scale=1000, seed=0)
+        monkeypatch.setattr(disk.os, failing, no_space)
+        with pytest.raises(DiskStoreError, match="cannot write store file"):
+            build_store(other, fig1_store)
+        monkeypatch.undo()
+        assert sorted(os.listdir(fig1_store.parent)) == [fig1_store.name]
+        with open_store(fig1_store) as store:
+            clone = store.entity_graph(verify=True)
+        assert graph_fingerprint(clone) == graph_fingerprint(build_fig1_graph())
+
+    def test_handle_opened_before_a_rebuild_reads_the_old_graph(self, tmp_path):
+        """A reader that mapped the store keeps its graph across a rebuild.
+
+        The reader runs in a subprocess: a store rewritten in place
+        under its mapping can kill it with SIGBUS, which must not take
+        pytest down with it.  The new image is smaller than the old one,
+        the shape that ends in SIGBUS.
+        """
+        old = generate_domain("architecture", scale=300, seed=11)
+        path = tmp_path / f"served{STORE_EXTENSION}"
+        build_store(old, path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        reader = subprocess.Popen(
+            [sys.executable, "-c", _EARLY_READER, str(path)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            assert reader.stdout.readline().strip() == "open"
+            assert build_store(build_fig1_graph(), path) < len(encode_store(old))
+            out, _ = reader.communicate("go\n", timeout=120)
+        finally:
+            if reader.poll() is None:
+                reader.kill()
+                reader.wait()
+        assert reader.returncode == 0
+        assert out.strip() == graph_fingerprint(old)
+        with open_store(path) as store:
+            assert store.fingerprint == graph_fingerprint(build_fig1_graph())
 
 
 # ----------------------------------------------------------------------

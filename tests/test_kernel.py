@@ -13,8 +13,9 @@ approximate equality.  Coverage:
   all-infeasible, duplicate keys, ``extra_cap=0``);
 * end-to-end conformance of all four discovery algorithms under each
   backend, including against a mutation-patched incremental pool;
-* a subprocess guard proving ``REPRO_KERNEL=python`` never imports
-  numpy;
+* subprocess guards proving ``REPRO_KERNEL=python`` never imports
+  numpy, and that neither does a concise preview answered from a
+  store under the default settings;
 * unit tests for backend selection, and for the planner rules that
   read the active backend (the rest of the planner's tests live in
   ``tests/test_plan.py``).
@@ -406,6 +407,33 @@ class TestBackendSelection:
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), REPRO_KERNEL="python")
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_concise_store_preview_never_imports_numpy(self, tmp_path):
+        """Opening a store and answering the CLI-default concise preview
+        (k=3, n=9) keeps numpy out of the process under every default
+        setting: numpy would add about a third to the process's memory."""
+        from repro.datasets import generate_domain
+        from repro.store import build_store
+
+        path = tmp_path / "architecture.rgs"
+        build_store(generate_domain("architecture", scale=1000, seed=0), path)
+        code = (
+            "import sys\n"
+            "from repro.core.serialize import result_to_dict\n"
+            "from repro.datasets import load_domain_file\n"
+            "from repro.engine import PreviewEngine\n"
+            "engine = PreviewEngine(load_domain_file(sys.argv[1]))\n"
+            "result_to_dict(engine.query(k=3, n=9))\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported on the concise path'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(src)
+        subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env)
 
 
 class TestDispatchPlan:

@@ -84,6 +84,29 @@ class TestNumpyJoin:
         st.integers(1, 6),
     )
     def test_matches_apriori_in_order(self, schema, mode, d, k):
+        self.check_against_apriori(schema, mode, d, k)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        schemas(),
+        st.sampled_from(["tight", "diverse"]),
+        st.integers(0, 4),
+        st.integers(2, 6),
+    )
+    def test_matches_apriori_across_chunk_edges(self, schema, mode, d, k):
+        """Three rows per join chunk: chunk edges fall inside each level."""
+        from repro.kernel import numpy_backend
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numpy_backend, "BATCH_SIZE", 3)
+            self.check_against_apriori(schema, mode, d, k)
+
+    @staticmethod
+    def check_against_apriori(schema, mode, d, k):
         oracle, nodes = schema
         distance = DistanceConstraint.from_mode(d, mode)
         expected = reference(nodes, oracle, distance, k)
