@@ -675,7 +675,6 @@ def dataset_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``repro-preview dataset``."""
     import json
 
-    from .datasets.loader import graph_fingerprint
     from .store import STORE_EXTENSION, build_store, open_store
 
     args = build_dataset_parser().parse_args(argv)
@@ -692,9 +691,12 @@ def dataset_main(argv: Optional[List[str]] = None) -> int:
             else:
                 graph = load_domain_file(args.file, name=Path(args.file).stem)
             total = build_store(graph, args.out)
+            # The header already holds the fingerprint build_store computed.
+            with open_store(args.out) as store_file:
+                fingerprint = store_file.fingerprint
             print(
                 f"stored {graph.name}: {total} bytes, "
-                f"fingerprint {graph_fingerprint(graph)} -> {args.out}"
+                f"fingerprint {fingerprint} -> {args.out}"
             )
             return 0
         with open_store(args.path) as store_file:

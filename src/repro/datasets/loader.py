@@ -30,6 +30,12 @@ def graph_fingerprint(graph: EntityGraph) -> str:
     order and hash randomization.  Two graphs with the same fingerprint
     answer every preview query identically.
 
+    The relationship rows are the ``(source, target, rel_type)`` edge
+    tuples sorted as they are: :class:`~repro.model.ids.RelationshipTypeId`
+    orders by ``(name, source_type, target_type)``, so that sort is the
+    order of the hashed ``R`` lines, field by field.  Changing that
+    class's fields or their order moves every pinned fingerprint.
+
     The workload-trace format (``docs/workloads.md``) embeds the
     fingerprint of a trace's starting graph in its header, so a
     replayer whose regenerated domain has drifted (generator change,
@@ -40,13 +46,9 @@ def graph_fingerprint(graph: EntityGraph) -> str:
         f"E\t{entity}\t{','.join(sorted(graph.types_of(entity)))}\n"
         for entity in sorted(graph.entities())
     ]
-    rows = sorted(
-        (source, target, rel.name, rel.source_type, rel.target_type)
-        for source, target, rel in graph.relationships()
-    )
     lines.extend(
-        f"R\t{source}\t{target}\t{name}\t{source_type}\t{target_type}\n"
-        for source, target, name, source_type, target_type in rows
+        f"R\t{source}\t{target}\t{rel.name}\t{rel.source_type}\t{rel.target_type}\n"
+        for source, target, rel in sorted(graph.relationships())
     )
     digest = hashlib.sha256("".join(lines).encode("utf-8"))
     return f"sha256:{digest.hexdigest()}"

@@ -96,14 +96,17 @@ class EntityGraph:
         entities_by_type = graph._entities_by_type
         adds = 0
         for entity, types in entities:
-            type_list = list(dict.fromkeys(types))
-            if not type_list:
-                raise _untyped(entity)
             existing = types_of.setdefault(entity, set())
-            for type_name in type_list:
+            typed = False
+            # The membership test drops a repeated type, so the types
+            # land in the first-seen order add_entity's dedup keeps.
+            for type_name in types:
+                typed = True
                 if type_name not in existing:
                     existing.add(type_name)
                     entities_by_type.setdefault(type_name, set()).add(entity)
+            if not typed:
+                raise _untyped(entity)
             adds += 1
         edges = graph._edges
         for source, target, rel_type in relationships:

@@ -14,7 +14,7 @@ light wrapper aliases are provided for documentation purposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..exceptions import ModelError
 
@@ -32,11 +32,35 @@ class RelationshipTypeId:
     Equality includes the endpoint types, so two edges named ``Award
     Winners`` from different source types are different relationship types,
     matching the paper's data model.
+
+    Ordering is the tuple order of ``(name, source_type, target_type)``,
+    so sorting ``(source, target, rel_type)`` instances gives the row
+    order :func:`~repro.datasets.loader.graph_fingerprint` hashes; a
+    change to the fields or their order moves every pinned fingerprint.
+
+    The hash is computed once, at construction: every edge of a graph
+    hashes its type when counted or indexed.  It is the value
+    ``hash((name, source_type, target_type))`` the generated method
+    would return, so set and dict order do not move, and pickling
+    rebuilds the object from its three names, so a process with another
+    hash seed recomputes it.
     """
 
     name: str
     source_type: TypeId
     target_type: TypeId
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.source_type, self.target_type))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.name, self.source_type, self.target_type))
 
     def __str__(self) -> str:
         return f"{self.name} ({self.source_type} -> {self.target_type})"

@@ -44,6 +44,7 @@ store never materializes.  See ``docs/disk-store.md``.
 from __future__ import annotations
 
 import contextlib
+import gc
 import mmap
 import os
 import re
@@ -51,7 +52,9 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Dict, List, Sequence, Tuple, Union
+from bisect import bisect_right
+from itertools import islice
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from ..exceptions import DiskStoreError, ModelError, ReplicationError
 from ..model.entity_graph import EntityGraph
@@ -101,6 +104,32 @@ def _crc32_around_checksum(data) -> int:
     """CRC-32 of ``data`` with the checksum field's bytes left out."""
     head = zlib.crc32(data[:_CHECKSUM_OFFSET])
     return zlib.crc32(data[_CHECKSUM_OFFSET + _CHECKSUM.size:], head)
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the ``with`` block.
+
+    A store materializes into acyclic containers only (tuples, sets,
+    lists, dicts), which the collector would rescan again and again as
+    the heap grows.  If the collector is on at entry it is switched off
+    and switched back on at every exit, errors included; if it is
+    already off, nothing is touched, so a caller that disabled it keeps
+    it disabled.  Two threads inside the block at once leave it on.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _non_decreasing(values: List[int]) -> bool:
+    """Whether ``values`` never goes down (a linear pass: one sorted run)."""
+    return values == sorted(values)
 
 
 def _pack_u64(values: Sequence[int]) -> bytes:
@@ -452,15 +481,28 @@ class DiskGraphStore:
             raise self._not_utf8(string_id, exc) from exc
 
     def _strings(self) -> List[str]:
-        """The whole dictionary, decoded once, with :meth:`string`'s checks."""
+        """The whole dictionary, decoded once, with :meth:`string`'s checks.
+
+        Every string's offsets are checked before anything is decoded.
+        An ASCII blob (every generated domain's) is decoded in one call
+        and sliced, since its byte offsets are then character offsets;
+        any other blob is decoded string by string, so a string that is
+        not UTF-8 is named.
+        """
         offsets = self._section("dict_offsets").tolist()
         blob_offset, blob_length = self._sections["dict_blob"]
+        if offsets[-1] > blob_length or not _non_decreasing(offsets):
+            for string_id in range(self.dict_count):
+                start, end = offsets[string_id], offsets[string_id + 1]
+                if not 0 <= start <= end <= blob_length:
+                    raise self._dangling(string_id, start, end, blob_length)
         blob = bytes(self._view[blob_offset:blob_offset + blob_length])
+        bounds = zip(offsets, islice(offsets, 1, None))
+        if blob.isascii():
+            text = blob.decode("ascii")
+            return [text[start:end] for start, end in bounds]
         strings = []
-        for string_id in range(self.dict_count):
-            start, end = offsets[string_id], offsets[string_id + 1]
-            if not 0 <= start <= end <= blob_length:
-                raise self._dangling(string_id, start, end, blob_length)
+        for string_id, (start, end) in enumerate(bounds):
             try:
                 strings.append(blob[start:end].decode("utf-8"))
             except UnicodeDecodeError as exc:
@@ -485,6 +527,15 @@ class DiskGraphStore:
             f"{self._path}: string id {string_id} is outside the "
             f"{self.dict_count}-entry dictionary"
         )
+
+    def _columns(self, name: str, width: int) -> List[List[int]]:
+        """Section ``name`` as rows of ``width`` u64s, one list per column.
+
+        Plain lists, so no view into the mapping outlives the call (see
+        :meth:`string`).
+        """
+        section = self._section(name)
+        return [section[column::width].tolist() for column in range(width)]
 
     def _decoded_section(self, strings: List[str], name: str) -> List[str]:
         """Section ``name``'s string ids looked up in decoded ``strings``."""
@@ -545,11 +596,17 @@ class DiskGraphStore:
         generation, so stream deltas stamped with later generations
         line up after a replica bootstrap.
         The whole image is first checked against the header's CRC-32.
-        The dictionary and each section are then decoded once, and one
+        Every dictionary offset and every entity's type slice is then
+        checked, the dictionary is decoded once (one call for an ASCII
+        blob), the type-index section is mapped to type names in one
+        pass with one rank check, and one
         :meth:`~repro.model.entity_graph.EntityGraph.bulk_load` replays
-        them with every per-entity and per-edge check.  With ``verify``
-        (the default) the materialized graph's fingerprint is recomputed
-        and checked against the header.
+        entities and relationships, streamed to it, with every
+        per-entity and per-edge check.  With ``verify`` (the default)
+        the materialized graph's fingerprint is recomputed and checked
+        against the header.  The cyclic garbage collector is paused
+        throughout (see :func:`_collector_paused`): everything built
+        here is acyclic.
 
         Raises
         ------
@@ -560,81 +617,106 @@ class DiskGraphStore:
         """
         from ..datasets.loader import graph_fingerprint
 
-        actual_checksum = _crc32_around_checksum(self._view)
-        if actual_checksum != self._checksum:
-            raise DiskStoreError(
-                f"{self._path}: checksum mismatch — the file's bytes give "
-                f"CRC-32 {actual_checksum:#010x} but the header pins "
-                f"{self._checksum:#010x}; the store file is corrupt"
-            )
-        strings = self._strings()
-        type_names = self._decoded_section(strings, "type_order")
-        entity_names = self._decoded_section(strings, "entity_ids")
-        type_offsets = self._section("entity_type_offsets").tolist()
-        type_indexes = self._section("entity_type_indexes").tolist()
-        entities = []
-        for row, entity in enumerate(entity_names):
-            start, end = type_offsets[row], type_offsets[row + 1]
-            if not 0 <= start <= end <= len(type_indexes):
+        with _collector_paused():
+            actual_checksum = _crc32_around_checksum(self._view)
+            if actual_checksum != self._checksum:
                 raise DiskStoreError(
-                    f"{self._path}: entity {row} type slice "
-                    f"[{start}, {end}) overruns the index section"
+                    f"{self._path}: checksum mismatch — the file's bytes give "
+                    f"CRC-32 {actual_checksum:#010x} but the header pins "
+                    f"{self._checksum:#010x}; the store file is corrupt"
                 )
-            ranks = type_indexes[start:end]
+            type_offsets = self._type_offsets()
+            strings = self._strings()
+            type_names = self._decoded_section(strings, "type_order")
+            entity_names = self._decoded_section(strings, "entity_ids")
+            entities = self._typed_entities(entity_names, type_names, type_offsets)
+            table = self._decoded_section(strings, "reltype_table")
+            reltypes = [
+                RelationshipTypeId(*fields)
+                for fields in zip(table[0::3], table[1::3], table[2::3])
+            ]
+            sources, ranks, targets = self._columns("relationships", 3)
+            relationships = zip(
+                map(entity_names.__getitem__, sources),
+                map(entity_names.__getitem__, targets),
+                map(reltypes.__getitem__, ranks),
+            )
             try:
-                entities.append((entity, [type_names[rank] for rank in ranks]))
-            except IndexError:
-                rank = next(r for r in ranks if r >= self.type_count)
-                raise DiskStoreError(
-                    f"{self._path}: entity {row} references type "
-                    f"rank {rank} of {self.type_count}"
-                ) from None
-        table = self._decoded_section(strings, "reltype_table")
-        reltypes = [
-            RelationshipTypeId(*fields)
-            for fields in zip(table[0::3], table[1::3], table[2::3])
-        ]
-        rows = self._section("relationships").tolist()
-        cells = iter(rows)
-        relationships = (
-            (entity_names[source_row], entity_names[target_row], reltypes[rank])
-            for source_row, rank, target_row in zip(cells, cells, cells)
-        )
-        try:
-            graph = EntityGraph.bulk_load(
-                entities, relationships, name=strings[self._name_id]
-            )
-        except IndexError:
-            # A row id out of range: name the first such row.
-            self._check_relationship_rows(rows)
-            raise
-        except ModelError as exc:
-            raise DiskStoreError(
-                f"{self._path}: stored graph violates the data model: {exc}"
-            ) from exc
-        if verify:
-            actual = graph_fingerprint(graph)
-            if actual != self.fingerprint:
-                raise DiskStoreError(
-                    f"{self._path}: fingerprint mismatch — the materialized "
-                    f"graph digests {actual} but the header pins "
-                    f"{self.fingerprint}; the store file is corrupt or was "
-                    "written by a drifted encoder"
+                graph = EntityGraph.bulk_load(
+                    entities, relationships, name=strings[self._name_id]
                 )
-        try:
-            graph.mutation_log.fast_forward(self.generation)
-        except ReplicationError as exc:
-            raise DiskStoreError(
-                f"{self._path}: stored generation {self.generation} is "
-                f"behind the {graph.generation} mutations the graph "
-                f"replays to: {exc}"
-            ) from exc
-        return graph
+            except IndexError:
+                # A row id out of range: name the first such row.
+                self._check_relationship_rows(sources, ranks, targets)
+                raise
+            except ModelError as exc:
+                raise DiskStoreError(
+                    f"{self._path}: stored graph violates the data model: {exc}"
+                ) from exc
+            if verify:
+                actual = graph_fingerprint(graph)
+                if actual != self.fingerprint:
+                    raise DiskStoreError(
+                        f"{self._path}: fingerprint mismatch — the materialized "
+                        f"graph digests {actual} but the header pins "
+                        f"{self.fingerprint}; the store file is corrupt or was "
+                        "written by a drifted encoder"
+                    )
+            try:
+                graph.mutation_log.fast_forward(self.generation)
+            except ReplicationError as exc:
+                raise DiskStoreError(
+                    f"{self._path}: stored generation {self.generation} is "
+                    f"behind the {graph.generation} mutations the graph "
+                    f"replays to: {exc}"
+                ) from exc
+            return graph
 
-    def _check_relationship_rows(self, rows: List[int]) -> None:
+    def _type_offsets(self) -> List[int]:
+        """The ``entity_type_offsets`` section, every entity's slice checked."""
+        offsets = self._section("entity_type_offsets").tolist()
+        index_count = self._sections["entity_type_indexes"][1] // 8
+        if offsets[-1] > index_count or not _non_decreasing(offsets):
+            for row in range(self.entity_count):
+                start, end = offsets[row], offsets[row + 1]
+                if not 0 <= start <= end <= index_count:
+                    raise DiskStoreError(
+                        f"{self._path}: entity {row} type slice "
+                        f"[{start}, {end}) overruns the index section"
+                    )
+        return offsets
+
+    def _typed_entities(
+        self, entity_names: List[str], type_names: List[str], offsets: List[int]
+    ) -> Iterator[Tuple[str, List[str]]]:
+        """``(entity, types)`` pairs, generated for ``bulk_load``.
+
+        The type-index section is mapped to type names in one pass, and
+        every rank is checked before the first pair is produced.
+        ``offsets`` must have passed :meth:`_type_offsets`.
+        """
+        first, last = offsets[0], offsets[-1]
+        ranks = self._section("entity_type_indexes")[first:last].tolist()
+        try:
+            names = [type_names[rank] for rank in ranks]
+        except IndexError:
+            position = next(i for i, rank in enumerate(ranks) if rank >= self.type_count)
+            # The entity whose slice holds that position: the first bad row.
+            row = bisect_right(offsets, first + position) - 1
+            raise DiskStoreError(
+                f"{self._path}: entity {row} references type "
+                f"rank {ranks[position]} of {self.type_count}"
+            ) from None
+        return (
+            (entity, names[start - first:end - first])
+            for entity, start, end in zip(entity_names, offsets, islice(offsets, 1, None))
+        )
+
+    def _check_relationship_rows(
+        self, sources: List[int], ranks: List[int], targets: List[int]
+    ) -> None:
         """Raise for the first relationship row with an out-of-range id."""
-        for i in range(self.relationship_count):
-            source_row, rank, target_row = rows[3 * i:3 * i + 3]
+        for i, (source_row, rank, target_row) in enumerate(zip(sources, ranks, targets)):
             if source_row >= self.entity_count or target_row >= self.entity_count:
                 raise DiskStoreError(
                     f"{self._path}: relationship {i} references entity "

@@ -15,6 +15,7 @@ Two properties carry the module:
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import random
@@ -22,6 +23,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import zlib
 
 import pytest
@@ -548,11 +550,108 @@ class TestCorruption:
 
 
 # ----------------------------------------------------------------------
+# The collector pause around materialization
+# ----------------------------------------------------------------------
+class TestCollectorPause:
+    """``entity_graph()`` pauses the cyclic collector and restores it."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_the_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """``gc.isenabled()`` as each fingerprint recompute saw it."""
+        from repro.datasets import loader
+
+        states = []
+        original = loader.graph_fingerprint
+
+        def probe(graph):
+            states.append(gc.isenabled())
+            return original(graph)
+
+        monkeypatch.setattr(loader, "graph_fingerprint", probe)
+        return states
+
+    def test_paused_inside_and_enabled_after(self, fig1_store, seen):
+        gc.enable()
+        with open_store(fig1_store) as store:
+            store.entity_graph()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_a_materialization_error(self, fig1_store):
+        types = len(build_fig1_graph().entity_types())
+
+        def bad_rank(data):
+            _set_u64(data, "entity_type_indexes", 0, types + 7)
+
+        _rewrite_sealed(fig1_store, bad_rank)
+        gc.enable()
+        with open_store(fig1_store) as store:
+            with pytest.raises(DiskStoreError, match="references type rank"):
+                store.entity_graph()
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_keeps_it_disabled(self, fig1_store, seen):
+        gc.disable()
+        with open_store(fig1_store) as store:
+            store.entity_graph()
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("first_out", ["first_in", "second_in"])
+    def test_overlapping_pauses_end_enabled(self, first_out):
+        """The two orders in which two threads' pauses can overlap."""
+        gc.enable()
+        first, second = disk._collector_paused(), disk._collector_paused()
+        first.__enter__()
+        second.__enter__()
+        assert not gc.isenabled()
+        exits = [first, second] if first_out == "first_in" else [second, first]
+        for pause in exits:
+            pause.__exit__(None, None, None)
+        assert gc.isenabled()
+
+    def test_threads_materializing_at_once_end_enabled(self, domain_pair):
+        graph, path = domain_pair
+        gc.enable()
+        workers, rounds = 4, 3
+        start = threading.Barrier(workers)
+        fingerprints = []
+
+        def materialize():
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                with open_store(path) as store:
+                    fingerprints.append(graph_fingerprint(store.entity_graph()))
+
+        threads = [threading.Thread(target=materialize) for _ in range(workers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert fingerprints == [graph_fingerprint(graph)] * (workers * rounds)
+        assert gc.isenabled()
+
+
+# ----------------------------------------------------------------------
 # Seeded corruption fuzz: raise DiskStoreError or answer as the clean file
 # ----------------------------------------------------------------------
 #: Random single-bit flips over the whole file.
 _FUZZ_FLIPS = 1000
 _FUZZ_SEED = 18
+#: Random single-bit flips over the sections, each resealed.
+_RESEALED_FLIPS = 2000
 
 
 def _observed(graph):
@@ -605,6 +704,19 @@ def _field_bits(start, length):
     return range(8 * start, 8 * (start + length))
 
 
+def _field_bytes(start, length):
+    return range(start, start + length)
+
+
+def _name_bytes(clean):
+    """The ``[start, end)`` file bytes of the graph name's dictionary string."""
+    (name_id,) = struct.unpack_from("<Q", clean, _NAME_ID_AT)
+    blob_offset, _length = _section_bounds(clean, "dict_blob")
+    offsets_at, _length = _section_bounds(clean, "dict_offsets")
+    start, end = struct.unpack_from("<QQ", clean, offsets_at + 8 * name_id)
+    return blob_offset + start, blob_offset + end
+
+
 class TestCorruptionFuzz:
     def test_random_single_bit_flips(self, fuzz_target):
         clean = fuzz_target[0]
@@ -613,18 +725,51 @@ class TestCorruptionFuzz:
         damaged = [(f"bit {bit}", _flipped(clean, bit)) for bit in bits]
         assert _wrong_answers(fuzz_target, damaged) == []
 
+    def test_resealed_flips_reach_the_decoder(self, fuzz_target):
+        """Flips the checksum no longer sees meet the decoder's own checks.
+
+        Each damaged image is resealed, as a drifted encoder would seal
+        it, so the section, offset, UTF-8, rank and schema checks and
+        the fingerprint decide instead of the CRC-32.  The flips cover
+        every section but the graph name's dictionary bytes: only the
+        checksum covers the name (and the generation, in the header).
+        """
+        clean, expected, _path = fuzz_target
+        name_at, name_end = _name_bytes(clean)
+        positions = [
+            at
+            for section in SECTION_NAMES
+            for at in _field_bytes(*_section_bounds(clean, section))
+            if not name_at <= at < name_end
+        ]
+        rng = random.Random(_FUZZ_SEED)
+        diagnostics, wrong = set(), []
+        for _ in range(_RESEALED_FLIPS):
+            at, bit = rng.choice(positions), rng.randrange(8)
+            damaged = bytearray(clean)
+            damaged[at] ^= 1 << bit
+            _reseal(damaged)
+            try:
+                with DiskGraphStore.from_bytes(bytes(damaged), "<image>") as store:
+                    graph = store.entity_graph()
+            except DiskStoreError as exc:
+                diagnostics.add(re.sub(r"[\d\[\](),]+", "#", str(exc))[:60])
+                continue
+            if graph_fingerprint(graph) != expected[-1]:
+                wrong.append(f"byte {at} bit {bit}")
+        assert wrong == []
+        assert not any("checksum" in text for text in diagnostics)
+        # The flips reach several of the decoder's checks, not just one.
+        assert len(diagnostics) >= 5, diagnostics
+
     def test_flips_in_the_graph_name(self, fuzz_target):
         """The fingerprint does not cover the name; the checksum does."""
         clean = fuzz_target[0]
-        (name_id,) = struct.unpack_from("<Q", clean, _NAME_ID_AT)
-        blob_offset, _length = _section_bounds(clean, "dict_blob")
-        offsets_at, _length = _section_bounds(clean, "dict_offsets")
-        start, end = struct.unpack_from("<QQ", clean, offsets_at + 8 * name_id)
-        name_at = blob_offset + start
-        assert clean[name_at:blob_offset + end] == b"architecture"
+        name_at, name_end = _name_bytes(clean)
+        assert clean[name_at:name_end] == b"architecture"
         damaged = [
             (f"name bit {bit - 8 * name_at}", _flipped(clean, bit))
-            for bit in _field_bits(name_at, end - start)
+            for bit in _field_bits(name_at, name_end - name_at)
         ]
         assert _wrong_answers(fuzz_target, damaged) == []
 
@@ -668,10 +813,13 @@ class TestDatasetCli:
             "--scale", "300", "--seed", "11", "--out", str(out),
         ])
         assert code == 0
-        assert "fingerprint sha256:" in capsys.readouterr().out
+        printed = re.search(r"fingerprint (sha256:[0-9a-f]{64}) ", capsys.readouterr().out)
+        assert printed is not None
         code = main(["dataset", "info", str(out), "--verify"])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
+        graph = generate_domain("architecture", scale=300, seed=11)
+        assert printed.group(1) == graph_fingerprint(graph) == summary["fingerprint"]
         assert summary["name"] == "architecture"
         assert summary["verified"] is True
         assert summary["counts"]["entities"] > 0

@@ -1,8 +1,13 @@
 """Unit tests for repro.model.entity_graph and repro.model.ids/attributes."""
 
+import dataclasses
 import hashlib
+import os
+import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -60,6 +65,74 @@ class TestRelationshipTypeId:
         rev = ACTOR.reversed()
         assert rev.source_type == "FILM"
         assert rev.target_type == "FILM ACTOR"
+
+    def test_hash_is_the_hash_of_its_names(self):
+        for rel in (ACTOR, DIRECTOR, RelationshipTypeId("", "", "")):
+            assert hash(rel) == hash((rel.name, rel.source_type, rel.target_type))
+
+    def test_replace_recomputes_the_hash(self):
+        moved = dataclasses.replace(ACTOR, target_type="TV SHOW")
+        assert hash(moved) == hash(("Actor", "FILM ACTOR", "TV SHOW"))
+        assert moved == RelationshipTypeId("Actor", "FILM ACTOR", "TV SHOW")
+        assert moved in {RelationshipTypeId("Actor", "FILM ACTOR", "TV SHOW")}
+
+    def test_repr_equality_and_order_are_the_names(self):
+        assert repr(ACTOR) == (
+            "RelationshipTypeId(name='Actor', source_type='FILM ACTOR', "
+            "target_type='FILM')"
+        )
+        assert ACTOR == RelationshipTypeId("Actor", "FILM ACTOR", "FILM")
+        assert ACTOR != RelationshipTypeId("Actor", "FILM ACTOR", "TV")
+        assert ACTOR != ("Actor", "FILM ACTOR", "FILM")
+        rels = [
+            RelationshipTypeId(name, source, target)
+            for name in ("b", "a") for source in ("Y", "X") for target in ("Q", "P")
+        ]
+        assert sorted(rels) == sorted(
+            rels, key=lambda rel: (rel.name, rel.source_type, rel.target_type)
+        )
+        assert RelationshipTypeId("a", "Y", "P") < RelationshipTypeId("a", "Y", "Q")
+
+    def test_pickles_across_hash_seeds(self):
+        """A pickled id rehashes in a process with another hash seed.
+
+        Spawn-started workers and replicas are such processes: a stale
+        cached hash would make every lookup by a freshly built key miss.
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        dump = (
+            "import pickle, sys\n"
+            "from repro.model import RelationshipTypeId as R\n"
+            "table = {R('Actor', 'FILM ACTOR', 'FILM'): 1,\n"
+            "         R('Director', 'FILM DIRECTOR', 'FILM'): 2}\n"
+            "actor_hash = hash(('Actor', 'FILM ACTOR', 'FILM'))\n"
+            "sys.stdout.buffer.write(pickle.dumps((table, actor_hash)))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from repro.model import RelationshipTypeId as R\n"
+            "table, dumped_hash = pickle.loads(sys.stdin.buffer.read())\n"
+            "actor = R('Actor', 'FILM ACTOR', 'FILM')\n"
+            "assert hash(actor) != dumped_hash, 'the seeds gave the same hash'\n"
+            "assert table[actor] == 1\n"
+            "assert table[R('Director', 'FILM DIRECTOR', 'FILM')] == 2\n"
+            "assert all(hash(key) == hash(R(*key.__reduce__()[1])) for key in table)\n"
+            "print('hit')\n"
+        )
+
+        def run(code, seed, data=None):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            return subprocess.run(
+                [sys.executable, "-c", code], input=data, capture_output=True,
+                env=env, timeout=60, check=True,
+            ).stdout
+
+        assert run(load, 2, run(dump, 1)).strip() == b"hit"
+
+    def test_pickle_round_trip_keeps_the_value(self):
+        table = pickle.loads(pickle.dumps({ACTOR: 1, DIRECTOR: 2}))
+        assert table[RelationshipTypeId("Actor", "FILM ACTOR", "FILM")] == 1
+        assert list(table) == [ACTOR, DIRECTOR]
 
 
 class TestNonKeyAttribute:
