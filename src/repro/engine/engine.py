@@ -7,7 +7,7 @@ sub-plans out of per-query execution:
 
 * **Scoring state** — one :class:`~repro.scoring.ScoringContext` (and its
   :class:`~repro.scoring.CandidatePool` of sorted Γτ arrays and prefix
-  sums) serves every query;
+  sums) over one schema graph serves every query;
 * **Result memoization** — :class:`DiscoveryResult`\\ s are cached per
   ``(generation, query)``, so repeated queries — the common case under
   preview-serving traffic — are O(1);
@@ -19,18 +19,23 @@ sub-plans out of per-query execution:
   call over the cached subsets plus one allocation profile for the
   winner: byte-identical results to a fresh :func:`apriori_discover`
   call, without its clique enumeration;
-* **Invalidation** — when constructed over a generation-tracked source
-  (:class:`~repro.ext.incremental.IncrementalEntityGraph`), the caches
-  are synchronized with the source's ``generation`` counter through
-  its mutation changelog (``dirty_since``), by one rule for every
-  scorer pair.  An empty delta (pure no-op mutations) keeps
-  everything.  Any other non-structural delta clears the result memo,
-  since a tight/diverse result depends on every type of its group and
-  a concise one on the whole eligible set, and keeps the clique
-  groups, which read only eligibility and distances: both follow
-  from schema structure under every scorer.  A structural delta (a
-  new entity or relationship type), a baseline older than the
-  changelog, or a source without one drops both.
+* **Live graphs** — an engine built on an
+  :class:`~repro.model.entity_graph.EntityGraph` owns all four of the
+  above behind one cursor over the graph's
+  :class:`~repro.model.mutation_log.MutationLog`.  The first read after
+  a write folds the log since the cursor into one
+  :class:`~repro.model.mutation_log.MutationDelta` (``dirty_since``)
+  and applies one rule for every scorer pair.  An empty delta (pure
+  no-op mutations) keeps everything.  Any other non-structural delta
+  copies the dirty counts into the schema graph in place, and patches a
+  delta-capable (coverage) context or drops any other one to rebuild on
+  the next read.  It clears the result memo, since a tight/diverse
+  result depends on every type of its group and a concise one on the
+  whole eligible set.  It keeps the clique groups, which read only
+  eligibility and distances: both follow from schema structure under
+  every scorer.  A structural delta (a new entity or relationship type)
+  or a baseline older than the log's window drops the schema, the
+  context, the memo and the groups.
 
 Algorithms resolve through :data:`~repro.core.registry.DISCOVERY_ALGORITHMS`;
 a third-party algorithm registered there is immediately servable by the
@@ -59,6 +64,9 @@ from ..core.preview import DiscoveryResult
 from ..core.registry import AlgorithmSpec, resolve_algorithm
 from ..exceptions import InfeasiblePreviewError
 from ..kernel.base import Subsets
+from ..model.entity_graph import EntityGraph
+from ..model.mutation_log import MutationDelta
+from ..model.schema_graph import SchemaGraph
 from ..parallel import ShardedExecutor
 from ..scoring.preview_score import ScoringContext
 from .query import PreviewQuery
@@ -72,13 +80,11 @@ class PreviewEngine:
     Parameters
     ----------
     data:
-        An :class:`EntityGraph`, :class:`SchemaGraph`,
-        :class:`ScoringContext`, or a *generation-tracked source* — any
-        object exposing a ``generation`` attribute and a
-        ``context(key_scorer, nonkey_scorer)`` method, such as
-        :class:`~repro.ext.incremental.IncrementalEntityGraph`.  With a
-        tracked source, the engine's caches follow every mutation of
-        the underlying graph automatically.
+        An :class:`EntityGraph`, :class:`SchemaGraph` or
+        :class:`ScoringContext`.  An entity graph is *live*: the engine
+        follows its mutation log, so an answer always reflects the graph
+        as it stands when asked, whoever wrote to it.  A schema graph or
+        a prebuilt context is static.
     key_scorer, nonkey_scorer:
         Scoring measure names; ignored when ``data`` is a prebuilt
         context.
@@ -109,14 +115,18 @@ class PreviewEngine:
     ) -> None:
         self._key_scorer = key_scorer
         self._nonkey_scorer = nonkey_scorer
-        if hasattr(data, "generation") and callable(getattr(data, "context", None)):
-            self._source = data
-            self._static_context: Optional[ScoringContext] = None
-        else:
-            self._source = None
-            self._static_context = make_context(
-                data, key_scorer=key_scorer, nonkey_scorer=nonkey_scorer
-            )
+        #: The live graph whose mutation log this engine follows (None
+        #: for static data).
+        self._graph: Optional[EntityGraph] = (
+            data if isinstance(data, EntityGraph) else None
+        )
+        #: The scoring context and the schema graph it scores.  On a
+        #: live graph a write may drop the context, or both; the next
+        #: read rebuilds what is missing.
+        self._context: Optional[ScoringContext] = make_context(
+            data, key_scorer=key_scorer, nonkey_scorer=nonkey_scorer
+        )
+        self._schema: Optional[SchemaGraph] = self._context.schema
         #: (spec, cache_key) -> DiscoveryResult (None = memoized
         #: infeasibility).  Keying by the resolved AlgorithmSpec means a
         #: re-registered algorithm never serves a stale predecessor's
@@ -125,6 +135,7 @@ class PreviewEngine:
         #: (k, d, mode) -> qualifying key subsets, in the Apriori clique
         #: enumeration order (so score ties resolve identically).
         self._subsets: Dict[Tuple, Subsets] = {}
+        #: The cursor: the generation all of the state above reflects.
         self._cache_generation = self.generation
         self._hits = 0
         self._misses = 0
@@ -147,20 +158,41 @@ class PreviewEngine:
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
-        """The source's mutation counter (0 for static data)."""
-        if self._source is not None:
-            return self._source.generation
-        return 0
+        """The live graph's mutation counter (0 for static data)."""
+        return 0 if self._graph is None else self._graph.generation
 
     @property
     def context(self) -> ScoringContext:
         """The current-generation scoring context."""
-        if self._source is not None:
-            return self._source.context(self._key_scorer, self._nonkey_scorer)
-        return self._static_context
+        self._sync_generation()
+        if self._context is None:
+            if self._schema is None:
+                self._context = make_context(
+                    self._graph, self._key_scorer, self._nonkey_scorer
+                )
+                self._schema = self._context.schema
+            else:
+                self._context = ScoringContext(
+                    self._schema,
+                    self._graph,
+                    key_scorer=self._key_scorer,
+                    nonkey_scorer=self._nonkey_scorer,
+                )
+        return self._context
+
+    @property
+    def schema(self) -> SchemaGraph:
+        """The current-generation schema graph the context scores."""
+        return self.context.schema
 
     def invalidate(self) -> None:
-        """Drop every cached result and clique group (full reset)."""
+        """Drop every cached result and clique group (full reset).
+
+        On a live graph the schema graph and the scoring context go
+        too; the next read derives them from the graph again.
+        """
+        if self._graph is not None:
+            self._schema = self._context = None
         self._evicted += len(self._results)
         self._results.clear()
         self._subsets.clear()
@@ -169,7 +201,7 @@ class PreviewEngine:
     def cache_info(self) -> Dict[str, object]:
         """Hit/miss/size counters (for tests, benches and ops).
 
-        Synchronizes with the tracked source first, so a mutation is
+        Synchronizes with the live graph first, so a mutation is
         reflected here (fresh generation, dropped caches) even before
         the next query observes it.  ``retained``/``evicted`` count memo
         entries kept vs. dropped across all generation changes so far:
@@ -207,21 +239,84 @@ class PreviewEngine:
         }
 
     def _sync_generation(self) -> None:
+        """Fold the mutation log since the cursor into every cache."""
         generation = self.generation
         if generation == self._cache_generation:
             return
-        dirty_since = getattr(self._source, "dirty_since", None)
-        delta = None if dirty_since is None else dirty_since(self._cache_generation)
-        if delta is None or not delta.patchable:
+        delta = self._graph.mutation_log.dirty_since(self._cache_generation)
+        if not delta.patchable:
             self.invalidate()
         elif delta.empty:
             self._retained += len(self._results)
         else:
-            # Clique groups read only eligibility and distances, which
-            # a non-structural write cannot move.
-            self._evicted += len(self._results)
-            self._results.clear()
+            self._patch(delta)
         self._cache_generation = generation
+
+    def _patch(self, delta: MutationDelta) -> None:
+        """Carry a non-structural delta into the schema, context and memo.
+
+        Such a delta only raises counts of types and relationship types
+        the schema already holds, so copying them from the graph moves
+        no vertex, edge or order, and the schema keeps its distance
+        oracle.  (A structural delta re-derives the schema in the
+        graph's first-seen order instead: folding in its key types, a
+        set, would add new types in hash order and move tie-breaks.)
+        Clique groups read only eligibility and distances, which this
+        write cannot move, so they stay.
+        """
+        graph, schema = self._graph, self._schema
+        if schema is not None:
+            for type_name in delta.key_types:
+                schema.add_entity_type(
+                    type_name, entity_count=graph.type_count(type_name)
+                )
+            for rel_type in delta.rel_types:
+                schema.add_relationship_type(
+                    rel_type,
+                    edge_count=graph.relationship_count(rel_type)
+                    - schema.relationship_count(rel_type),
+                )
+        context = self._context
+        self._context = (
+            context.patched(delta.key_types)
+            if context is not None and context.supports_delta
+            else None
+        )
+        self._evicted += len(self._results)
+        self._results.clear()
+
+    def verify_against_rescan(self, check_pools: bool = True) -> bool:
+        """Cross-check the maintained state against a full rescan.
+
+        Test/debug helper: returns True when the schema graph holds
+        exactly the types, relationship types and counts of one freshly
+        derived from the live graph, in the same order, *and* (with
+        ``check_pools``, the default) when the context's
+        :class:`~repro.scoring.CandidatePool` — the delta-patched flat
+        arrays every discovery algorithm reads — equals one built from
+        scratch over the rescanned schema: same type order, key scores,
+        sorted candidate lists with raw/weighted scores, prefix-sum
+        tables and eligible set.  Floats are compared exactly, not
+        approximately: the delta path promises bit-identical state.
+        Static data maintains nothing, so it always passes.
+        """
+        if self._graph is None:
+            return True
+        fresh = SchemaGraph.from_entity_graph(self._graph)
+        if _schema_counts(self.schema) != _schema_counts(fresh):
+            return False
+        if not check_pools:
+            return True
+        rebuilt = ScoringContext(
+            fresh,
+            self._graph,
+            key_scorer=self._key_scorer,
+            nonkey_scorer=self._nonkey_scorer,
+        )
+        # Frozen-dataclass equality covers every field (type order, key
+        # scores, sorted candidates, weighted scores, prefix tables,
+        # index, eligible) — including any added later.
+        return self.context.candidate_pool() == rebuilt.candidate_pool()
 
     # ------------------------------------------------------------------
     # Queries
@@ -457,3 +552,11 @@ class PreviewEngine:
             subsets = qualifying_subsets(context, size, distance)
             self._subsets[group_key] = subsets
         return subsets
+
+
+def _schema_counts(schema: SchemaGraph):
+    """Every type and relationship type with its count, in schema order."""
+    return (
+        [(t, schema.entity_count(t)) for t in schema.entity_types()],
+        [(r, schema.relationship_count(r)) for r in schema.relationship_types()],
+    )

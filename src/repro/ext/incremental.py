@@ -1,43 +1,27 @@
-"""Incremental maintenance of schema graphs and scoring contexts.
+"""Incremental maintenance: a live entity graph and its engines.
 
 Sec. 5 of the paper asserts that the schema graph and the scoring
 measures "can be incrementally updated when the underlying entity graph
 is updated (detailed discussion omitted)" — while optimal previews
-cannot.  This module supplies that omitted machinery:
+cannot.  The omitted machinery lives in two places:
 
-* :class:`IncrementalEntityGraph` wraps an :class:`EntityGraph` whose
-  :class:`~repro.model.mutation_log.MutationLog` records, per mutation,
-  the key types and relationship types it dirtied and whether it changed
-  the schema graph itself (a *structural* mutation).  Writes are plain
-  calls into the graph; the changelog is the only way a write reaches
-  the wrapper's state, whether it came through the wrapper or straight
-  to :attr:`IncrementalEntityGraph.entity_graph`;
-* every read (:attr:`~IncrementalEntityGraph.schema`,
-  :meth:`~IncrementalEntityGraph.context`, the coverage accessors)
-  first runs one refresh, which folds the changelog since its cursor
-  into one :class:`~repro.model.mutation_log.MutationDelta` and repairs
-  the derived state at one of three granularities:
+* the graph's :class:`~repro.model.mutation_log.MutationLog` records,
+  per mutation, the key types and relationship types it dirtied and
+  whether it changed the schema graph itself (a *structural* mutation);
+* a :class:`~repro.engine.PreviewEngine` built on the graph owns every
+  piece of derived state — the schema graph, the scoring context, the
+  result memo and the clique groups — behind one cursor over that log,
+  and folds it on the first read after a write (see the engine's module
+  docstring for the rule).
 
-  * **none** — an empty delta (pure no-op mutations): everything is kept;
-  * **type-scoped** — a non-structural delta: the dirty types' and
-    relationship types' counts are copied from the graph into the schema
-    graph in place (its distance oracle survives), and delta-capable
-    :class:`ScoringContext`\\ s (coverage) are *patched* — only dirty
-    types re-scored, candidate-pool rows shared for the rest — while the
-    other contexts (random walk, entropy: global measures) are dropped
-    and rebuild lazily on their next request;
-  * **full** — a structural delta, or a baseline older than the
-    changelog window: the schema graph is re-derived from the entity
-    graph and every context is dropped;
-
-* a *generation* counter invalidates any cached discovery result, making
-  the paper's "previews cannot be incrementally updated" explicit in the
-  API: callers re-run discovery (cheap — Fig. 8) against fresh scores.
-  :meth:`IncrementalEntityGraph.engine` returns a
-  :class:`~repro.engine.PreviewEngine` bound to this graph, which reads
-  the same changelog through :meth:`IncrementalEntityGraph.dirty_since`:
-  a dirtying write clears its result memo, and only a structural one
-  drops its clique groups too.
+:class:`IncrementalEntityGraph` holds the graph and one engine per
+scorer pair, and no derived state of its own.  Writes are plain calls
+into the graph, made through the wrapper or straight on
+:attr:`IncrementalEntityGraph.entity_graph` alike: the changelog is the
+only way a write reaches an engine.  Every write bumps the graph's
+*generation*, which invalidates cached discovery results, making the
+paper's "previews cannot be incrementally updated" explicit in the API:
+callers re-run discovery (cheap — Fig. 8) against fresh scores.
 """
 
 from __future__ import annotations
@@ -49,21 +33,16 @@ from ..engine import PreviewEngine
 from ..exceptions import UnknownRelationshipTypeError, UnknownTypeError
 from ..model.entity_graph import EntityGraph
 from ..model.ids import EntityId, RelationshipTypeId, TypeId
-from ..model.mutation_log import MutationDelta, MutationLog
+from ..model.mutation_log import MutationLog
 from ..model.schema_graph import SchemaGraph
 from ..scoring.preview_score import ScoringContext
 
 
 class IncrementalEntityGraph:
-    """An entity graph whose schema and scores follow its changelog."""
+    """A live entity graph with one preview engine per scorer pair."""
 
     def __init__(self, base: Optional[EntityGraph] = None, name: str = "incremental") -> None:
         self._graph = base if base is not None else EntityGraph(name=name)
-        self._schema = SchemaGraph.from_entity_graph(self._graph)
-        #: (key_scorer, nonkey_scorer) -> context, current as of _generation.
-        self._contexts: Dict[tuple, ScoringContext] = {}
-        #: The refresh cursor: the generation the schema and contexts reflect.
-        self._generation = self.generation
         self._engines: Dict[tuple, PreviewEngine] = {}
 
     # ------------------------------------------------------------------
@@ -75,15 +54,14 @@ class IncrementalEntityGraph:
 
         Mutating it directly is allowed and costs the same as mutating
         through the wrapper: the changelog observes every mutation, and
-        the next read folds it in.
+        each engine folds it on its next read.
         """
         return self._graph
 
     @property
     def schema(self) -> SchemaGraph:
-        """The schema graph, refreshed from the changelog first."""
-        self._refresh()
-        return self._schema
+        """The coverage engine's schema graph, current with the graph."""
+        return self.engine().schema
 
     @property
     def generation(self) -> int:
@@ -95,28 +73,17 @@ class IncrementalEntityGraph:
         """The underlying graph's per-generation mutation changelog."""
         return self._graph.mutation_log
 
-    def dirty_since(self, generation: int) -> MutationDelta:
-        """Everything dirtied after ``generation`` (one folded delta).
-
-        The engine-facing changelog read: a
-        :class:`~repro.engine.PreviewEngine` bound to this graph calls
-        it once per generation change to decide between keeping its
-        caches (empty delta), clearing its result memo (non-structural
-        delta) and a full cache drop.
-        """
-        return self._graph.mutation_log.dirty_since(generation)
-
     def key_coverage(self, type_name: TypeId) -> int:
-        """``Scov(τ)`` from the refreshed schema (0 for unknown types)."""
+        """``Scov(τ)`` from the graph's counts (0 for unknown types)."""
         try:
-            return self.schema.entity_count(type_name)
+            return self._graph.type_count(type_name)
         except UnknownTypeError:
             return 0
 
     def nonkey_coverage(self, rel_type: RelationshipTypeId) -> int:
-        """``Sτcov(γ)`` from the refreshed schema (0 for unknown types)."""
+        """``Sτcov(γ)`` from the graph's counts (0 for unknown types)."""
         try:
-            return self.schema.relationship_count(rel_type)
+            return self._graph.relationship_count(rel_type)
         except UnknownRelationshipTypeError:
             return 0
 
@@ -172,76 +139,28 @@ class IncrementalEntityGraph:
     def context(
         self, key_scorer: str = "coverage", nonkey_scorer: str = "coverage"
     ) -> ScoringContext:
-        """A scoring context current with the latest generation.
+        """The scorer pair's engine context, current with the graph.
 
         Coverage contexts are *patched* across non-structural mutations
         (see :meth:`ScoringContext.patched`); any other context, or any
         context after a structural mutation, is built afresh on request.
         """
-        self._refresh()
-        cache_key = (key_scorer, nonkey_scorer)
-        context = self._contexts.get(cache_key)
-        if context is None:
-            context = ScoringContext(
-                self._schema,
-                self._graph,
-                key_scorer=key_scorer,
-                nonkey_scorer=nonkey_scorer,
-            )
-            self._contexts[cache_key] = context
-        return context
-
-    def _refresh(self) -> None:
-        """Fold the changelog since the cursor into the schema and contexts.
-
-        A patchable delta only ever raises counts of types and
-        relationship types the schema already holds, so copying them
-        moves no vertex, edge or order.  A structural delta re-derives
-        the schema in the graph's first-seen order; its ``key_types``
-        (a frozenset) are never folded in, since new types would then
-        enter in hash order and move tie-breaks.
-        """
-        generation = self.generation
-        if self._generation == generation:
-            return
-        delta = self._graph.mutation_log.dirty_since(self._generation)
-        if not delta.patchable:
-            self._schema = SchemaGraph.from_entity_graph(self._graph)
-            self._contexts = {}
-        elif not delta.empty:
-            graph, schema = self._graph, self._schema
-            for type_name in delta.key_types:
-                schema.add_entity_type(type_name, entity_count=graph.type_count(type_name))
-            for rel_type in delta.rel_types:
-                schema.add_relationship_type(
-                    rel_type,
-                    edge_count=graph.relationship_count(rel_type)
-                    - schema.relationship_count(rel_type),
-                )
-            self._contexts = {
-                cache_key: context.patched(delta.key_types)
-                for cache_key, context in self._contexts.items()
-                if context.supports_delta
-            }
-        self._generation = generation
+        return self.engine(key_scorer, nonkey_scorer).context
 
     def engine(
         self, key_scorer: str = "coverage", nonkey_scorer: str = "coverage"
     ) -> PreviewEngine:
-        """A :class:`PreviewEngine` wired to this graph's generation counter.
+        """The :class:`PreviewEngine` of this graph for one scorer pair.
 
         One engine per scorer pair is kept alive for the graph's
         lifetime, so repeated queries between mutations hit its memo
-        cache; any mutation bumps :attr:`generation`, which the engine
-        observes and answers by reading :meth:`dirty_since`: a dirtying
-        delta clears the memo, and a structural one drops the clique
-        groups too.
+        cache; it follows every mutation through the graph's changelog.
         """
         cache_key = (key_scorer, nonkey_scorer)
         engine = self._engines.get(cache_key)
         if engine is None:
             engine = PreviewEngine(
-                self, key_scorer=key_scorer, nonkey_scorer=nonkey_scorer
+                self._graph, key_scorer=key_scorer, nonkey_scorer=nonkey_scorer
             )
             self._engines[cache_key] = engine
         return engine
@@ -250,8 +169,8 @@ class IncrementalEntityGraph:
         """Run discovery against up-to-date scores.
 
         Optimal previews cannot be patched in place (Sec. 5), so this
-        always re-solves — against the refreshed scores, through the
-        generation-aware engine (a repeat of an unchanged query between
+        always re-solves — against the maintained scores, through the
+        scorer pair's engine (a repeat of an unchanged query between
         mutations is answered from its cache).
         """
         key_scorer = kwargs.pop("key_scorer", "coverage")
@@ -259,43 +178,10 @@ class IncrementalEntityGraph:
         return self.engine(key_scorer, nonkey_scorer).query(k=k, n=n, **kwargs)
 
     def verify_against_rescan(self, check_pools: bool = True) -> bool:
-        """Cross-check the refreshed state against a full rescan.
+        """Cross-check every engine's state against a full rescan.
 
-        Test/debug helper: returns True when the schema graph holds
-        exactly the types, relationship types and counts of a freshly
-        derived one, in the same order, *and* (with ``check_pools``,
-        the default) when every cached scorer-combo context's
-        :class:`~repro.scoring.CandidatePool` — the delta-patched flat
-        arrays every discovery algorithm reads — equals one built from
-        scratch over the rescanned schema: same type order, key scores,
-        sorted candidate lists with raw/weighted scores, prefix-sum
-        tables and eligible set.  Floats are compared exactly, not
-        approximately: the delta path promises bit-identical state.
+        Runs :meth:`PreviewEngine.verify_against_rescan` on each engine
+        built so far, or on the coverage engine when there is none.
         """
-        fresh = SchemaGraph.from_entity_graph(self._graph)
-        if _schema_counts(self.schema) != _schema_counts(fresh):
-            return False
-        if not check_pools:
-            return True
-        for key_scorer, nonkey_scorer in list(self._contexts) or [("coverage", "coverage")]:
-            maintained = self.context(key_scorer, nonkey_scorer).candidate_pool()
-            rebuilt = ScoringContext(
-                fresh,
-                self._graph,
-                key_scorer=key_scorer,
-                nonkey_scorer=nonkey_scorer,
-            ).candidate_pool()
-            # Frozen-dataclass equality covers every field (type order,
-            # key scores, sorted candidates, weighted scores, prefix
-            # tables, index, eligible) — including any added later.
-            if maintained != rebuilt:
-                return False
-        return True
-
-
-def _schema_counts(schema: SchemaGraph):
-    """Every type and relationship type with its count, in schema order."""
-    return (
-        [(t, schema.entity_count(t)) for t in schema.entity_types()],
-        [(r, schema.relationship_count(r)) for r in schema.relationship_types()],
-    )
+        engines = list(self._engines.values()) or [self.engine()]
+        return all(engine.verify_against_rescan(check_pools) for engine in engines)

@@ -20,6 +20,8 @@ read it, so a graph loaded only to answer them never pays for it.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -42,6 +44,27 @@ _Adjacency = Dict[Tuple[EntityId, RelationshipTypeId], List[EntityId]]
 
 def _untyped(entity: EntityId) -> SchemaViolationError:
     return SchemaViolationError(f"entity {entity!r} must belong to at least one type")
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the ``with`` block.
+
+    A graph load builds acyclic containers only (tuples, sets, lists,
+    dicts), which the collector would rescan again and again as the
+    heap grows.  If the collector is on at entry it is switched off and
+    switched back on at every exit, errors included; if it is already
+    off, nothing is touched, so a caller that disabled it keeps it
+    disabled.  Two threads inside the block at once leave it on.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class EntityGraph:

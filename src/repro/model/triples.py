@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, NamedTuple
 
 from ..exceptions import ModelError
-from .entity_graph import EntityGraph, Relationship
+from .entity_graph import EntityGraph, Relationship, collector_paused
 from .ids import RelationshipTypeId, parse_qualified_name, qualified_name
 
 #: Predicate used for entity-typing triples (rdf:type shorthand).
@@ -94,26 +94,28 @@ def triples_to_entity_graph(
     Raises :class:`~repro.exceptions.ModelError` for a predicate that is
     neither :data:`TYPE_PREDICATE` nor a qualified relationship type, and
     for a relationship whose endpoint is untyped or lacks the endpoint
-    type its predicate names.
+    type its predicate names.  The cyclic garbage collector is paused
+    throughout (:func:`~repro.model.entity_graph.collector_paused`).
     """
     types_of: Dict[str, List[str]] = {}
     relationships: List[Relationship] = []
     rel_types: Dict[str, RelationshipTypeId] = {}
-    for triple in triples:
-        subject, predicate, obj = triple
-        if predicate == TYPE_PREDICATE:
-            types_of.setdefault(subject, []).append(obj)
-            continue
-        rel_type = rel_types.get(predicate)
-        if rel_type is None:
-            try:
-                rel_type = rel_types[predicate] = parse_qualified_name(predicate)
-            except ModelError as exc:
-                raise ModelError(
-                    f"bad relationship predicate in {triple!r}: {exc}"
-                ) from exc
-        relationships.append((subject, obj, rel_type))
-    return EntityGraph.bulk_load(types_of.items(), relationships, name=name)
+    with collector_paused():
+        for triple in triples:
+            subject, predicate, obj = triple
+            if predicate == TYPE_PREDICATE:
+                types_of.setdefault(subject, []).append(obj)
+                continue
+            rel_type = rel_types.get(predicate)
+            if rel_type is None:
+                try:
+                    rel_type = rel_types[predicate] = parse_qualified_name(predicate)
+                except ModelError as exc:
+                    raise ModelError(
+                        f"bad relationship predicate in {triple!r}: {exc}"
+                    ) from exc
+            relationships.append((subject, obj, rel_type))
+        return EntityGraph.bulk_load(types_of.items(), relationships, name=name)
 
 
 def validate_round_trip(graph: EntityGraph) -> bool:

@@ -105,7 +105,7 @@ class WriterHost(EngineHost):
         def apply():
             before = self.graph.generation
             generation = apply_mutation(self.graph, kind, fields)
-            return generation, self.graph.dirty_since(before).to_record()
+            return generation, self.graph.mutation_log.dirty_since(before).to_record()
 
         async with self._lock.write_locked():
             generation, dirty = await self._on_worker(apply)

@@ -124,9 +124,9 @@ class ScoringContext:
         mutations (no new entity types or relationship types): untouched
         types share their ranked candidate lists and candidate-pool rows
         with this context, so cost scales with the dirty set, not the
-        schema.  Requires :attr:`supports_delta`; the
-        caller (see :meth:`repro.ext.incremental.IncrementalEntityGraph.context`)
-        is responsible for routing structural deltas to a full rebuild.
+        schema.  Requires :attr:`supports_delta`; the caller (see
+        :meth:`repro.engine.PreviewEngine.context`) is responsible for
+        routing structural deltas to a full rebuild.
         """
         if not self.supports_delta:
             raise ScoringError(

@@ -44,7 +44,6 @@ store never materializes.  See ``docs/disk-store.md``.
 from __future__ import annotations
 
 import contextlib
-import gc
 import mmap
 import os
 import re
@@ -57,7 +56,7 @@ from itertools import islice
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from ..exceptions import DiskStoreError, ModelError, ReplicationError
-from ..model.entity_graph import EntityGraph
+from ..model.entity_graph import EntityGraph, collector_paused as _collector_paused
 from ..model.ids import RelationshipTypeId
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -104,27 +103,6 @@ def _crc32_around_checksum(data) -> int:
     """CRC-32 of ``data`` with the checksum field's bytes left out."""
     head = zlib.crc32(data[:_CHECKSUM_OFFSET])
     return zlib.crc32(data[_CHECKSUM_OFFSET + _CHECKSUM.size:], head)
-
-
-@contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause Python's cyclic garbage collector for the ``with`` block.
-
-    A store materializes into acyclic containers only (tuples, sets,
-    lists, dicts), which the collector would rescan again and again as
-    the heap grows.  If the collector is on at entry it is switched off
-    and switched back on at every exit, errors included; if it is
-    already off, nothing is touched, so a caller that disabled it keeps
-    it disabled.  Two threads inside the block at once leave it on.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 def _non_decreasing(values: List[int]) -> bool:
@@ -605,8 +583,8 @@ class DiskGraphStore:
         per-entity and per-edge check.  With ``verify`` (the default)
         the materialized graph's fingerprint is recomputed and checked
         against the header.  The cyclic garbage collector is paused
-        throughout (see :func:`_collector_paused`): everything built
-        here is acyclic.
+        throughout (see :func:`~repro.model.entity_graph.collector_paused`):
+        everything built here is acyclic.
 
         Raises
         ------

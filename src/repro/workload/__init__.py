@@ -1,9 +1,11 @@
 """``repro.workload`` — workload traces and differential conformance.
 
-The serving stack now has four ways to answer the same preview query —
-a from-scratch engine, a warm incremental engine, a process-sharded
-engine, and the JSON-line socket service — and the paper's contract is
-that all four are *bit-identical* under any mix of reads and writes.
+The serving stack has five ways to answer the same preview query — a
+from-scratch engine, a warm incremental engine, a process-sharded
+engine, the JSON-line socket service, and a replicated writer with two
+read replicas behind a router — and the paper's contract is that all
+five are *bit-identical* under any mix of reads and writes, whether
+the starting graph is regenerated or cold-opened from a ``.rgs`` store.
 This package makes that contract executable:
 
 * :mod:`~repro.workload.trace` — the versioned JSONL trace format: one

@@ -1,11 +1,14 @@
 """Replay a workload trace through one execution path.
 
-Four paths replay the *same* trace, each rebuilding a private copy of
-the trace's starting graph, and every op produces one canonical JSON
-payload (see below).  Two replays of one trace are *conformant* when
-their payloads are textually identical at every step — which is the
-property the differential oracle (:mod:`repro.workload.oracle`) checks
-across all four:
+Five paths (:data:`REPLAY_PATHS`) replay the *same* trace, each
+rebuilding a private copy of the trace's starting graph, and every op
+produces one canonical JSON payload (see below).  The starting graph is
+the regenerated domain, or with ``store`` (``--store`` on the CLI) the
+graph cold-opened from a ``.rgs`` binary store, for every path alike.
+Two replays of one trace are *conformant* when their payloads are
+textually identical at every step — which is the property the
+differential oracle (:mod:`repro.workload.oracle`) checks across all
+five:
 
 ``serial``
     The from-scratch rebuild oracle: mutations apply to a plain

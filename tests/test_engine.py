@@ -22,6 +22,7 @@ from repro.core import (
     resolve_algorithm,
     unregister_discovery_algorithm,
 )
+from repro.core.serialize import result_to_dict
 from repro.engine import PreviewEngine, PreviewQuery
 from repro.exceptions import (
     DiscoveryError,
@@ -444,6 +445,70 @@ class TestEngineCacheInvalidation:
                 "director0", f"film-extra{batch}", DIRECTED
             )
             live.add_relationship("actor0", f"film-extra{batch}", ACTED)
+
+
+class TestPlainGraphEngine:
+    """An engine built on a plain EntityGraph follows the graph's log."""
+
+    CONCISE = PreviewQuery(k=1, n=2)
+    TIGHT = PreviewQuery(k=2, n=4, d=1, mode="tight")
+
+    @staticmethod
+    def assert_fresh(engine, graph, query):
+        """The engine answers ``query`` like one-shot discovery on ``graph``."""
+        answer = engine.run(query)
+        expected = discover_preview(
+            graph, k=query.k, n=query.n, d=query.d, mode=query.mode
+        )
+        assert result_to_dict(answer) == result_to_dict(expected), query
+        assert answer.score.hex() == expected.score.hex(), query
+        return answer
+
+    def test_writes_reach_an_engine_on_a_plain_graph(self):
+        graph = live_graph().entity_graph
+        engine = PreviewEngine(graph)
+        before = engine.run(self.CONCISE)
+        engine.run(self.TIGHT)
+
+        # Non-structural: a directing spree moves the concise winner.
+        for i in range(10):
+            graph.add_entity(f"director{i + 1}", ["DIRECTOR"])
+            graph.add_relationship(f"director{i + 1}", "film0", DIRECTED)
+        after = self.assert_fresh(engine, graph, self.CONCISE)
+        assert after.preview.keys() != before.preview.keys()
+        info = engine.cache_info()
+        assert info["generation"] == graph.generation
+        assert info["profile_groups"] == 1 and info["invalidations"] == 0
+        self.assert_fresh(engine, graph, self.TIGHT)
+        assert engine.verify_against_rescan()
+
+        # Structural: a new entity type drops the groups; they rebuild.
+        graph.add_entity("genre0", ["GENRE"])
+        graph.add_relationship("film0", "genre0", HAS_GENRE)
+        info = engine.cache_info()
+        assert info["profile_groups"] == 0 and info["invalidations"] == 1
+        self.assert_fresh(engine, graph, self.TIGHT)
+        assert engine.cache_info()["profile_groups"] == 1
+        assert engine.verify_against_rescan()
+
+        # More writes than the log retains: a full rebuild.
+        for i in range(graph.mutation_log.max_entries + 1):
+            graph.add_entity(f"film-bulk{i}", ["FILM"])
+        info = engine.cache_info()
+        assert info["profile_groups"] == 0 and info["invalidations"] == 2
+        assert info["generation"] == graph.generation
+        self.assert_fresh(engine, graph, self.CONCISE)
+        self.assert_fresh(engine, graph, self.TIGHT)
+        assert engine.verify_against_rescan()
+
+    def test_static_inputs_stay_static(self):
+        graph = live_graph().entity_graph
+        engine = PreviewEngine(make_context(graph))
+        first = engine.query(k=2, n=4)
+        graph.add_entity("film-extra", ["FILM"])
+        assert engine.cache_info()["generation"] == 0
+        assert engine.query(k=2, n=4) is first
+        assert engine.verify_against_rescan()
 
 
 def count_profile_builds(monkeypatch):

@@ -93,22 +93,22 @@ class TestMutationLog:
         log = inc.mutation_log
         generation = log.generation
         inc.add_entity("film99", ["FILM"])  # known type: not structural
-        delta = inc.dirty_since(generation)
+        delta = inc.mutation_log.dirty_since(generation)
         assert delta.key_types == {"FILM"} and not delta.structural
         inc.add_relationship("film99", "genre0", HAS_GENRE)
-        delta = inc.dirty_since(generation)
+        delta = inc.mutation_log.dirty_since(generation)
         assert delta.key_types == {"FILM", "GENRE"}
         assert delta.rel_types == {HAS_GENRE}
         assert not delta.structural
         inc.add_entity("award0", ["AWARD"])  # brand-new type: structural
-        assert inc.dirty_since(generation).structural
+        assert inc.mutation_log.dirty_since(generation).structural
 
     def test_noop_mutation_records_empty_delta(self):
         inc = triangle_graph()
         generation = inc.generation
         inc.add_entity("film0", ["FILM"])  # re-add: nothing dirtied
         assert inc.generation == generation + 1
-        assert inc.dirty_since(generation).empty
+        assert inc.mutation_log.dirty_since(generation).empty
 
 
 class TestContextPatching:
@@ -248,6 +248,35 @@ class TestTypeScopedInvalidation:
         assert info["results"] == 1 and info["evicted"] == 0
         assert info["retained"] == 1
         assert engine.query(k=2, n=4) is first
+
+
+class TestOneCursor:
+    """The engine is the only reader of the changelog on a read."""
+
+    @pytest.mark.parametrize(
+        "scorers", [("coverage", "coverage"), ("random_walk", "entropy")]
+    )
+    def test_one_dirty_since_per_read_after_a_write(self, monkeypatch, scorers):
+        inc = triangle_graph()
+        engine = inc.engine(*scorers)
+        queries = [PreviewQuery(k=2, n=4), PreviewQuery(k=2, n=4, d=1, mode="tight")]
+        engine.sweep(queries)
+        calls = []
+        real = MutationLog.dirty_since
+
+        def counting(log, generation):
+            calls.append(generation)
+            return real(log, generation)
+
+        monkeypatch.setattr(MutationLog, "dirty_since", counting)
+        for i in range(3):
+            inc.add_entity(f"film-c{i}", ["FILM"])
+            inc.add_relationship("actor0", f"film-c{i}", ACTED)
+            for query in queries:
+                engine.run(query)
+            assert len(calls) == i + 1
+        engine.sweep(queries)  # no write since: no fold
+        assert len(calls) == 3
 
 
 class TestDirectGraphMutations:

@@ -1,5 +1,6 @@
 """Unit tests for repro.store's text formats and the triple codec behind them."""
 
+import gc
 import hashlib
 import json
 
@@ -12,6 +13,7 @@ from repro.model import (
     RelationshipTypeId,
     SchemaGraph,
     entity_graph_to_triples,
+    qualified_name,
     triples_to_entity_graph,
 )
 from repro.store import load_jsonl, load_tsv, save_jsonl, save_tsv
@@ -360,3 +362,53 @@ class TestStrictPersistence:
         path.write_text(line + "\n")
         with pytest.raises(PersistenceError, match=r"bad\.jsonl:1: "):
             load_jsonl(path)
+
+
+class TestCollectorPause:
+    """A text import decodes its graph with the cyclic collector paused."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_the_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """``gc.isenabled()`` as each ``EntityGraph.bulk_load`` saw it."""
+        states = []
+        original = EntityGraph.bulk_load.__func__
+
+        def probe(cls, *args, **kwargs):
+            states.append(gc.isenabled())
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EntityGraph, "bulk_load", classmethod(probe))
+        return states
+
+    @pytest.fixture()
+    def cast_tsv(self, graph, tmp_path):
+        path = tmp_path / "cast.tsv"
+        save_tsv(graph, path)
+        return path
+
+    def test_paused_inside_and_enabled_after(self, cast_tsv, seen):
+        gc.enable()
+        load_tsv(cast_tsv)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_a_persistence_error(self, tmp_path, seen):
+        path = tmp_path / "untyped.tsv"
+        write_rows(path, [("will", qualified_name(ACTED), "mib", 1)])
+        gc.enable()
+        with pytest.raises(PersistenceError, match="untyped"):
+            load_tsv(path)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_keeps_it_disabled(self, cast_tsv, seen):
+        gc.disable()
+        load_tsv(cast_tsv)
+        assert seen == [False]
+        assert not gc.isenabled()
