@@ -460,6 +460,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
 def build_workload_parser() -> argparse.ArgumentParser:
     """The ``repro-preview workload`` argument parser."""
+    from .workload import REPLAY_PATHS
+
     parser = argparse.ArgumentParser(
         prog="repro-preview workload",
         description=(
@@ -544,9 +546,7 @@ def build_workload_parser() -> argparse.ArgumentParser:
     add_jobs_arg(run)
     run.add_argument(
         "--paths",
-        default=",".join(
-            ("serial", "incremental", "sharded", "serve", "replicated")
-        ),
+        default=",".join(REPLAY_PATHS),
         metavar="P1,P2,...", help="comma-separated replay paths to compare",
     )
     return parser

@@ -82,10 +82,8 @@ def apriori_discover(
     """
     validate_constraints(size, distance, eligible_key_types(context))
     subsets = qualifying_subsets(context, size, distance, clique_backend)
-    if not subsets:
-        return None
     return discover_among(
-        context, size, subsets, f"apriori[{clique_backend}]", executor
+        context, size, [subsets], f"apriori[{clique_backend}]", executor
     )
 
 

@@ -15,12 +15,13 @@ Figs. 8 and 9.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, islice
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .. import kernel, plan
+from .. import kernel
+from ..model.ids import TypeId
 from ..scoring.preview_score import ScoringContext
-from .candidates import best_preview_for_keys, discover_among, eligible_key_types
+from .candidates import discover_among, eligible_key_types
 from .constraints import DistanceConstraint, SizeConstraint, validate_constraints
 from .preview import DiscoveryResult
 from .registry import register_discovery_algorithm
@@ -44,69 +45,34 @@ def brute_force_discover(
     nobody satisfies).  Ties in score are broken by enumeration order,
     which is deterministic given the schema construction order — the paper
     likewise returns one optimal preview and notes the extension to all.
-    A live :class:`~repro.parallel.ShardedExecutor` passed as
-    ``executor`` (the caller keeps ownership) lets the planner shard the
-    per-subset allocation across its workers with bit-identical results
-    — see :func:`~repro.core.candidates.discover_among`; the pairwise
+    The combination stream is never listed: it reaches
+    :func:`~repro.core.candidates.discover_among` in chunks of
+    :data:`repro.kernel.BATCH_SIZE` (read at call time), each bounded
+    and pruned against the best score so far.  A live
+    :class:`~repro.parallel.ShardedExecutor` passed as ``executor`` (the
+    caller keeps ownership) lets the planner shard a chunk's survivors
+    across its workers with bit-identical results; the pairwise
     distance check stays in the parent, which holds the distance oracle.
     """
     key_pool = eligible_key_types(context)
     validate_constraints(size, distance, key_pool)
     oracle = context.schema.distance_oracle() if distance is not None else None
-
     qualifying = (
         keys
         for keys in combinations(key_pool, size.k)
         if distance is None or distance.keys_ok(oracle, keys)
     )
-    if executor is not None:
-        # C(K, k) bounds the qualifying count before anything is
-        # materialized: only a batch the planner would shard is listed,
-        # and discover_among records the verdict on the listed count.
-        estimate = plan.estimated_subsets(len(key_pool), size.k)
-        if plan.would_shard(estimate, executor.jobs):
-            return discover_among(
-                context, size, list(qualifying), "brute-force", executor
-            )
-        plan.should_shard(estimate, executor.jobs)  # the scan's serial verdict
+    batches = _chunks(qualifying, kernel.BATCH_SIZE)
+    return discover_among(context, size, batches, "brute-force", executor)
 
-    # Serial path: stream the combination generator through the batched
-    # kernel in bounded chunks (the enumeration can be astronomically
-    # larger than memory), keeping the first strict maximum across
-    # chunks — the same lowest-index tie-break as the old scan.
-    pool = context.candidate_pool()
-    extra_cap = size.n - size.k
-    best_score = float("-inf")
-    best_keys = None
-    examined = 0
-    chunk = []
-    append = chunk.append
-    for keys in qualifying:
-        append(keys)
-        if len(chunk) < kernel.BATCH_SIZE:
-            continue
-        best = kernel.best_allocation(pool, chunk, extra_cap)
-        examined += len(chunk)
-        if best is not None and best[0] > best_score:
-            best_score, best_keys = best[0], chunk[best[1]]
-        chunk = []
-        append = chunk.append
-    if chunk:
-        best = kernel.best_allocation(pool, chunk, extra_cap)
-        examined += len(chunk)
-        if best is not None and best[0] > best_score:
-            best_score, best_keys = best[0], chunk[best[1]]
-    if best_keys is None:
-        return None
-    allocation = best_preview_for_keys(context, best_keys, size)
-    if allocation is None:  # pragma: no cover - kernel said feasible
-        return None
-    preview, score = allocation
-    return DiscoveryResult(
-        preview=preview,
-        score=score,
-        algorithm="brute-force",
-        key_scorer=context.key_scorer_name,
-        nonkey_scorer=context.nonkey_scorer_name,
-        candidates_examined=examined,
-    )
+
+def _chunks(
+    subsets: Iterable[Tuple[TypeId, ...]], length: int
+) -> Iterator[List[Tuple[TypeId, ...]]]:
+    """``subsets`` in consecutive lists of at most ``length``."""
+    iterator = iter(subsets)
+    while True:
+        chunk = list(islice(iterator, length))
+        if not chunk:
+            return
+        yield chunk

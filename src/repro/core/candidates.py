@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import kernel, plan
 from ..exceptions import UnknownTypeError
@@ -170,44 +170,61 @@ def best_preview_for_keys(
 def discover_among(
     context: ScoringContext,
     size: SizeConstraint,
-    subsets: Subsets,
+    batches: Iterable[Subsets],
     algorithm: str,
     executor=None,
 ) -> Optional[DiscoveryResult]:
-    """ComputePreview on the subsets of one batch that can win, keeping the best.
+    """ComputePreview on the subsets that can win, keeping the best.
 
     The shared last step of Alg. 1 and Alg. 3, and the only code that
-    takes a listed batch of key subsets to a :class:`DiscoveryResult`
-    (serial brute force streams its enumeration instead).  It first
-    bounds every subset (:func:`upper_bound_for_keys`, gathered by the
-    active kernel backend), scores the first highest-bound subset as
-    the incumbent, and keeps the survivors: the subsets whose bound
-    reaches :func:`bound_floor` of the incumbent's score.  Any subset
-    that scores at or above the incumbent survives, so the batch
-    optimum, and every subset tied with it, is among them.  The
-    ``oracle`` backend bounds nothing and scores the whole batch.
+    takes key subsets to a :class:`DiscoveryResult`.  ``batches`` is an
+    iterable of subset batches, read one at a time: Apriori passes its
+    one clique group, brute force its combination stream in chunks of
+    :data:`repro.kernel.BATCH_SIZE`, so memory never depends on the
+    enumeration's length.
 
-    The survivors, in their original order, are one batch: without an
-    ``executor`` one serial :func:`repro.kernel.best_allocation` call
-    scores it; with a live :class:`~repro.parallel.ShardedExecutor`
+    Each batch is bounded first (:func:`upper_bound_for_keys`, gathered
+    by the active kernel backend); its first highest-bound subset is
+    scored, and the survivors are the subsets whose bound reaches
+    :func:`bound_floor` of the better of that score and the best so
+    far.  Any subset that scores at or above both survives, so the
+    optimum, and every subset tied with it, is never pruned.  The
+    ``oracle`` backend bounds nothing and scores every subset.
+
+    The survivors, in their original order, are one dispatch: without
+    an ``executor`` one serial :func:`repro.kernel.best_allocation`
+    call scores them; with a live :class:`~repro.parallel.ShardedExecutor`
     (the caller keeps ownership), :func:`repro.plan.should_shard`
-    decides on the survivor count whether it goes to the workers
-    instead.  Either way the winner is the lowest-index survivor among
-    equal scores, which is the lowest-index subset of the batch among
-    them, and only it is materialized here against the real pool.
-    Every subset counts as examined, by its bound; returns None when
-    every subset is infeasible.
+    decides on the survivor count, once per batch, whether they go to
+    the workers instead.  A batch replaces the best only on a strictly
+    higher score, and within a batch the lowest-index survivor wins
+    among equal scores, so the winner is the first subset in
+    enumeration order among those with the top score.  Only it is
+    materialized, against the real pool.  Every subset counts as
+    examined, by its bound; returns None when every subset is
+    infeasible.
     """
     pool = context.candidate_pool()
     extra_cap = size.n - size.k
-    survivors = _bound_survivors(pool, size, subsets)
-    if executor is not None and plan.should_shard(len(survivors), executor.jobs):
-        best = executor.best_allocation(pool, survivors, extra_cap)
-    else:
-        best = kernel.best_allocation(pool, survivors, extra_cap)
-    if best is None:
+    best_score = float("-inf")
+    best_keys = None
+    examined = 0
+    for subsets in batches:
+        if not subsets:
+            continue
+        examined += len(subsets)
+        survivors = _bound_survivors(pool, size, subsets, best_score)
+        if executor is not None and plan.should_shard(
+            len(survivors), executor.jobs
+        ):
+            best = executor.best_allocation(pool, survivors, extra_cap)
+        else:
+            best = kernel.best_allocation(pool, survivors, extra_cap)
+        if best is not None and best[0] > best_score:
+            best_score, best_keys = best[0], survivors[best[1]]
+    if best_keys is None:
         return None
-    allocation = best_preview_for_keys(context, survivors[best[1]], size)
+    allocation = best_preview_for_keys(context, best_keys, size)
     if allocation is None:  # pragma: no cover - kernel said feasible
         return None
     preview, score = allocation
@@ -217,19 +234,20 @@ def discover_among(
         algorithm=algorithm,
         key_scorer=context.key_scorer_name,
         nonkey_scorer=context.nonkey_scorer_name,
-        candidates_examined=len(subsets),
+        candidates_examined=examined,
     )
 
 
 def _bound_survivors(
-    pool: CandidatePool, size: SizeConstraint, subsets: Subsets
+    pool: CandidatePool, size: SizeConstraint, subsets: Subsets, best: float
 ) -> Subsets:
-    """The subsets of ``subsets`` that can still win, in their order.
+    """The subsets of ``subsets`` that can still reach ``best``, in their order.
 
     The per-type bounds come from the pool's prefix tables; the active
-    backend gathers them per subset and selects the survivors.  Empty
-    when every subset is infeasible; all of ``subsets`` when the
-    backend does not prune.
+    backend gathers them per subset and selects the survivors against
+    the better of ``best`` and the score of the batch's first
+    highest-bound subset.  Empty when every subset is infeasible; all
+    of ``subsets`` when the backend does not prune.
     """
     backend = kernel.active_backend()
     gathered = backend.subset_bounds(pool.index, subsets, table_bounds(pool, size))
@@ -241,7 +259,8 @@ def _bound_survivors(
     incumbent = kernel.best_allocation(
         pool, subsets[seed : seed + 1], size.n - size.k
     )
-    return backend.survivors(subsets, bounds, bound_floor(incumbent[0], size.n))
+    floor = bound_floor(max(best, incumbent[0]), size.n)
+    return backend.survivors(subsets, bounds, floor)
 
 
 def table_bounds(pool: CandidatePool, size: SizeConstraint) -> List[float]:

@@ -143,14 +143,15 @@ class PreviewEngine:
         self._retained = 0
         self._evicted = 0
         #: Batched-kernel dispatches made on behalf of this engine's
-        #: queries (captured as deltas of the process-wide kernel
+        #: queries (captured as deltas of the calling thread's kernel
         #: counters around each execution, so nested discovery calls and
-        #: parent-side sharded dispatches are all attributed here).
+        #: parent-side sharded dispatches are attributed here, and work
+        #: on other threads is not).
         self._kernel_batches = 0
         self._kernel_subsets = 0
         #: Planner decisions made on behalf of this engine's queries
-        #: (deltas of the process-wide counters, the same attribution
-        #: scheme as the kernel counters above).
+        #: (deltas of the calling thread's counters, the same
+        #: attribution scheme as the kernel counters above).
         self._plan_decisions: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -467,8 +468,8 @@ class PreviewEngine:
         return results
 
     def _accumulate_plan_decisions(self, before: Dict[str, int]) -> None:
-        """Fold the planner-counter delta since ``before`` into this engine."""
-        for key, value in plan.decision_counts().items():
+        """Fold the thread's planner-counter delta since ``before`` in."""
+        for key, value in plan.thread_decision_counts().items():
             delta = value - before.get(key, 0)
             if delta:
                 self._plan_decisions[key] = (
@@ -495,10 +496,10 @@ class PreviewEngine:
         # Count the miss only once the execution produced an answer
         # (feasible or memoized-infeasible); an algorithm that raises
         # mid-flight must not skew the statistics of retried queries.
-        before = kernel.kernel_stats()
-        plan_before = plan.decision_counts()
+        before = kernel.thread_kernel_stats()
+        plan_before = plan.thread_decision_counts()
         result = self._execute(spec, query, executor)
-        after = kernel.kernel_stats()
+        after = kernel.thread_kernel_stats()
         self._accumulate_plan_decisions(plan_before)
         self._kernel_batches += after["batches"] - before["batches"]
         self._kernel_subsets += after["subsets"] - before["subsets"]
@@ -522,10 +523,8 @@ class PreviewEngine:
         if distance is not None and spec.runner is _builtin_apriori_runner:
             validate_constraints(size, distance, eligible_key_types(context))
             subsets = self._group_subsets(context, size, distance)
-            if not subsets:
-                return None
             return discover_among(
-                context, size, subsets, "apriori[apriori]", executor
+                context, size, [subsets], "apriori[apriori]", executor
             )
         if executor is not None and spec.runner is _builtin_brute_force:
             return _builtin_brute_force(

@@ -41,6 +41,7 @@ from .base import (
     kernel_stats,
     record_batch,
     reset_kernel_stats,
+    thread_kernel_stats,
 )
 from .pure import PythonBackend
 
@@ -60,6 +61,7 @@ __all__ = [
     "record_batch",
     "reset_kernel_stats",
     "set_backend",
+    "thread_kernel_stats",
     "use_backend",
 ]
 

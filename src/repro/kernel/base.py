@@ -70,23 +70,46 @@ _BATCHES = 0
 _SUBSETS = 0
 
 
+class _ThreadStats(threading.local):
+    """The batch counters of one thread."""
+
+    def __init__(self) -> None:
+        self.counts = {"batches": 0, "subsets": 0}
+
+
+_THREAD_STATS = _ThreadStats()
+
+
 def record_batch(subset_count: int) -> None:
     """Count one batched kernel dispatch of ``subset_count`` subsets.
 
     Called at consumer dispatch sites (serial kernel calls and the
     parent side of sharded dispatches), not inside the backends, so
     worker processes and direct backend probes never skew the totals.
+    Counted twice: process-wide and for the calling thread.
     """
     global _BATCHES, _SUBSETS
     with _STATS_LOCK:
         _BATCHES += 1
         _SUBSETS += subset_count
+    mine = _THREAD_STATS.counts
+    mine["batches"] += 1
+    mine["subsets"] += subset_count
 
 
 def kernel_stats() -> Dict[str, int]:
     """Cumulative ``{"batches", "subsets"}`` counters for this process."""
     with _STATS_LOCK:
         return {"batches": _BATCHES, "subsets": _SUBSETS}
+
+
+def thread_kernel_stats() -> Dict[str, int]:
+    """Cumulative ``{"batches", "subsets"}`` counters of the calling thread.
+
+    An engine attributes deltas of these to its queries, so engines
+    answering on other threads never count each other's batches.
+    """
+    return dict(_THREAD_STATS.counts)
 
 
 def reset_kernel_stats() -> None:

@@ -25,9 +25,11 @@ replaces one learned from timings.
 Every decision increments a process-wide counter
 (:func:`decision_counts`): ``serial`` / ``sharded`` for the chosen
 strategy and ``vetoed_single_core`` when the affinity veto forced the
-answer.  :class:`~repro.engine.PreviewEngine` attributes deltas of
-these counters to its queries (``cache_info()``'s ``plan_decisions``)
-and the benchmarks record them alongside wall times.
+answer.  The same counts are kept per thread
+(:func:`thread_decision_counts`): :class:`~repro.engine.PreviewEngine`
+attributes the deltas of its own thread to its queries
+(``cache_info()``'s ``plan_decisions``), and the benchmarks record the
+process-wide ones alongside wall times.
 
 Planning never changes answers — only where the same kernel arithmetic
 runs — so every mode is bit-identical to every other (asserted by
@@ -36,7 +38,6 @@ runs — so every mode is bit-identical to every other (asserted by
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from contextlib import contextmanager
@@ -61,6 +62,16 @@ _CPU_CACHE: Optional[int] = None
 
 _LOCK = threading.Lock()
 _DECISIONS: Dict[str, int] = {"serial": 0, "sharded": 0, "vetoed_single_core": 0}
+
+
+class _ThreadDecisions(threading.local):
+    """The decision counters of one thread."""
+
+    def __init__(self) -> None:
+        self.counts = dict.fromkeys(_DECISIONS, 0)
+
+
+_THREAD_DECISIONS = _ThreadDecisions()
 
 
 def plan_mode() -> str:
@@ -127,13 +138,6 @@ def reset_plan_caches() -> None:
     _CPU_CACHE = None
 
 
-def estimated_subsets(eligible_count: int, k: int) -> int:
-    """Upper bound on the qualifying k-subset count: ``C(eligible, k)``."""
-    if k < 0 or k > eligible_count:
-        return 0
-    return math.comb(eligible_count, k)
-
-
 def shard_threshold() -> int:
     """The active kernel backend's shard threshold, in subsets."""
     return kernel.active_backend().shard_threshold
@@ -151,15 +155,6 @@ def _verdict(subset_count: int, jobs: int) -> Tuple[str, ...]:
     return ("sharded" if subset_count >= shard_threshold() else "serial",)
 
 
-def would_shard(subset_count: int, jobs: int) -> bool:
-    """:func:`should_shard`'s answer, without recording a decision.
-
-    For guards that only look ahead, such as brute force deciding
-    whether to list its subsets before the batch is dispatched.
-    """
-    return _verdict(subset_count, jobs)[0] == "sharded"
-
-
 def should_shard(subset_count: int, jobs: int) -> bool:
     """Whether ``subset_count`` subsets justify ``jobs`` workers.
 
@@ -169,9 +164,12 @@ def should_shard(subset_count: int, jobs: int) -> bool:
     bit-identical, so this only moves wall time.
     """
     keys = _verdict(subset_count, jobs)
+    mine = _THREAD_DECISIONS.counts
     with _LOCK:
         for key in keys:
             _DECISIONS[key] += 1
+    for key in keys:
+        mine[key] += 1
     return keys[0] == "sharded"
 
 
@@ -179,3 +177,12 @@ def decision_counts() -> Dict[str, int]:
     """A copy of the process-wide cumulative decision counters."""
     with _LOCK:
         return dict(_DECISIONS)
+
+
+def thread_decision_counts() -> Dict[str, int]:
+    """A copy of the decision counters of the calling thread alone.
+
+    An engine attributes deltas of these to its queries, so engines
+    answering on other threads never count each other's decisions.
+    """
+    return dict(_THREAD_DECISIONS.counts)

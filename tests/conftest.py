@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import pytest
 
 from repro.model import EntityGraph, EntityGraphBuilder, SchemaGraph
@@ -48,9 +50,37 @@ def build_fig1_graph() -> EntityGraph:
     return b.build()
 
 
+#: The session-scoped graphs every test shares, by fixture name, each
+#: with the generation it had when last checked.  No test may write to
+#: one: a write would leak into every later test of the run.
+_SESSION_GRAPHS: Dict[str, List] = {}
+
+
+def _shared(name: str, graph: EntityGraph) -> EntityGraph:
+    _SESSION_GRAPHS[name] = [graph, graph.generation]
+    return graph
+
+
+@pytest.fixture(autouse=True)
+def session_graphs_stay_unwritten(request):
+    """Fail the test after which a session graph's generation moved."""
+    yield
+    moved = []
+    for name, entry in _SESSION_GRAPHS.items():
+        graph, seen = entry
+        if graph.generation != seen:
+            moved.append(f"{name} (generation {seen} -> {graph.generation})")
+            entry[1] = graph.generation
+    if moved:
+        pytest.fail(
+            f"{request.node.nodeid} wrote to the shared session graph "
+            f"{', '.join(moved)}; write to a copy instead"
+        )
+
+
 @pytest.fixture(scope="session")
 def fig1_graph() -> EntityGraph:
-    return build_fig1_graph()
+    return _shared("fig1_graph", build_fig1_graph())
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +101,7 @@ def tiny_domain():
     """A small cached Freebase-like domain for integration tests."""
     from repro.datasets import load_domain
 
-    return load_domain("architecture", scale=1000, seed=0)
+    return _shared("tiny_domain", load_domain("architecture", scale=1000, seed=0))
 
 
 @pytest.fixture(scope="session")

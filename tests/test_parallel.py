@@ -25,7 +25,7 @@ from repro.engine import PreviewEngine, PreviewQuery
 from repro.exceptions import DiscoveryError, InfeasiblePreviewError
 from repro.parallel import ScoringSnapshot, ShardedExecutor, resolve_jobs
 from repro.scoring import ScoringContext
-from repro import config, plan
+from repro import config, kernel, plan
 
 #: Worker count used by the equivalence tests (REPRO_TEST_JOBS, 2 by
 #: default; any value >= 2 exercises real shards once a batch shards).
@@ -116,7 +116,7 @@ class TestShardedExecutor:
         with plan.use_mode("sharded"), ShardedExecutor(max(JOBS, 2)) as executor:
             best = executor.best_allocation(pool, subsets, size.n - size.k)
             assert executor._pool is not None, "the batch never left the parent"
-            result = discover_among(fig1_context, size, subsets, "test", executor)
+            result = discover_among(fig1_context, size, [subsets], "test", executor)
         assert best[1] == 1
         assert (result.preview, result.score) == best_preview_for_keys(
             fig1_context, (strongest, other), size
@@ -207,9 +207,9 @@ class TestShardBoundaries:
     def test_brute_force_lists_zero_or_one_subset_like_serial(
         self, d, qualifying
     ):
-        """Forced sharded, brute force lists its qualifying subsets even
-        when the distance check leaves 0 or 1 of the C(3, 2) pairs; the
-        answer, ``candidates_examined`` included, is the serial one."""
+        """Forced sharded, brute force streams its qualifying subsets
+        even when the distance check leaves 0 or 1 of the C(3, 2) pairs;
+        the answer, ``candidates_examined`` included, is the serial one."""
         builder = EntityGraphBuilder("path")
         builder.entity("film0", "FILM").entity("actor0", "ACTOR")
         builder.entity("director0", "DIRECTOR")
@@ -225,10 +225,9 @@ class TestShardBoundaries:
                 context, size, distance, executor=executor
             )
             after = plan.decision_counts()
-        # The look-ahead on the estimate's C(3, 2) = 3 subsets records
-        # nothing; the listed batch of 0 or 1 records one serial verdict.
+        # A chunk of 1 records one serial verdict; no chunk, none.
         assert after["sharded"] - before["sharded"] == 0
-        assert after["serial"] - before["serial"] == 1
+        assert after["serial"] - before["serial"] == qualifying
         assert sharded == serial
         if qualifying == 0:
             assert serial is None
@@ -241,13 +240,12 @@ class TestShardBoundaries:
     ):
         """Brute force records exactly one planner verdict per batch.
 
-        Forced sharded, the qualifying subsets are listed and the one
-        batch crosses the pool: the verdict is taken on the subsets
-        ``discover_among`` keeps after bounding, 2 of fig1's 15 (all 15
-        under the unpruned ``oracle`` backend), and a batch of one or
-        none would be scored serially.  Under ``auto`` the batch is far
-        below the threshold, so they stream through the inline scan.
-        Either way one verdict is recorded.
+        fig1's 15 subsets are one chunk.  Forced sharded, it crosses the
+        pool: the verdict is taken on the subsets ``discover_among``
+        keeps after bounding, 2 of the 15 (all 15 under the unpruned
+        ``oracle`` backend), and a batch of one or none would be scored
+        serially.  Under ``auto`` the batch is far below the threshold,
+        so it is scored inline.  Either way one verdict is recorded.
         """
         monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 2)
         size = SizeConstraint(k=2, n=5)
@@ -265,6 +263,30 @@ class TestShardBoundaries:
         }
         assert pooled == (mode == "sharded")
         assert answer == serial
+
+    def test_brute_force_streams_chunks_of_batch_size(
+        self, fig1_context, monkeypatch
+    ):
+        """Forced sharded with a live pool, brute force hands its bound
+        pass chunks of at most ``kernel.BATCH_SIZE`` subsets, never its
+        whole enumeration, and answers as the serial run does."""
+        monkeypatch.setattr(kernel, "BATCH_SIZE", 3)
+        size = SizeConstraint(k=2, n=5)
+        serial = brute_force_discover(fig1_context, size)
+        backend = kernel.active_backend()
+        gather = backend.subset_bounds
+        seen = []
+
+        def spy(index, subsets, bounds):
+            seen.append(len(subsets))
+            return gather(index, subsets, bounds)
+
+        monkeypatch.setattr(backend, "subset_bounds", spy)
+        with plan.use_mode("sharded"), ShardedExecutor(2) as executor:
+            sharded = brute_force_discover(fig1_context, size, executor=executor)
+        assert seen == [3] * 5
+        assert serial.candidates_examined == 15
+        assert sharded == serial
 
     def test_one_shard_all_infeasible_other_feasible(self):
         """A shard whose every subset is infeasible reduces to the other's."""

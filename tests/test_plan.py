@@ -15,6 +15,7 @@ Two layers, mirroring the planner's own contract:
 """
 
 import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +23,10 @@ from hypothesis import strategies as st
 
 from repro import config, kernel, plan
 from repro.core import make_context
+from repro.core.registry import (
+    register_discovery_algorithm,
+    unregister_discovery_algorithm,
+)
 from repro.datasets import random_schema_graph
 from repro.engine import PreviewEngine, PreviewQuery
 from repro.exceptions import InfeasiblePreviewError, PlanError
@@ -114,21 +119,6 @@ class TestPlannerDecisions:
             "vetoed": (False, {"serial": 1, "vetoed_single_core": 1}),
             "one-job": (False, {"serial": 1}),
         }[case]
-
-    @pytest.mark.parametrize("mode", plan.PLAN_MODES)
-    def test_would_shard_looks_ahead_without_recording(self, mode, many_cores):
-        """The look-ahead verdict is should_shard's, with no decision."""
-        with plan.use_mode(mode):
-            for subsets, jobs in [(2, 2), (1, 2), (10**6, 8), (100, 1)]:
-                ahead, delta = counted(lambda: plan.would_shard(subsets, jobs))
-                assert delta == {}
-                assert ahead == plan.should_shard(subsets, jobs)
-
-    def test_estimated_subsets_is_the_binomial_bound(self):
-        assert plan.estimated_subsets(5, 2) == 10
-        assert plan.estimated_subsets(5, 0) == 1
-        assert plan.estimated_subsets(5, 6) == 0
-        assert plan.estimated_subsets(5, -1) == 0
 
     def test_oracle_inherits_the_python_threshold(self):
         assert (
@@ -352,3 +342,48 @@ class TestEngineDecisionAccounting:
         # decided, the counters are non-negative and strategy-shaped.
         assert all(v >= 0 for v in decisions.values())
         assert set(decisions) <= {"serial", "sharded", "vetoed_single_core"}
+
+    def test_engines_count_only_their_own_thread(self, fig1_context):
+        """While one engine's query waits on its thread, another engine
+        scores on this one: each reports its own batches and verdicts,
+        as a third engine does that ran the same query alone."""
+        entered, release = threading.Event(), threading.Event()
+
+        @register_discovery_algorithm("test-blocking", shapes=("concise",))
+        def _blocking(context, size, distance=None):
+            entered.set()
+            assert release.wait(30)
+            return None
+
+        blocked, busy, alone = (PreviewEngine(fig1_context) for _ in range(3))
+        worker = threading.Thread(
+            target=blocked.sweep,
+            args=([PreviewQuery(k=1, n=1, algorithm="test-blocking")],),
+            kwargs={"skip_infeasible": True},
+        )
+        query = PreviewQuery(k=2, n=5, algorithm="brute-force")
+        try:
+            # The pool starts before the second thread does.
+            with plan.use_mode("sharded"), ShardedExecutor(2) as executor:
+                alone.run(query, executor=executor)
+                worker.start()
+                assert entered.wait(30)
+                busy.run(query, executor=executor)
+        finally:
+            release.set()
+            worker.join(30)
+            unregister_discovery_algorithm("test-blocking")
+        assert not worker.is_alive()
+
+        def counts(engine):
+            info = engine.cache_info()
+            return (
+                info["misses"],
+                info["kernel_batches"],
+                info["kernel_subsets"],
+                info["plan_decisions"],
+            )
+
+        assert counts(blocked) == (1, 0, 0, {})
+        assert counts(busy) == counts(alone)
+        assert counts(alone)[1] > 0 and counts(alone)[3]

@@ -12,7 +12,8 @@ be identical.  Coverage:
   a margin-less comparison gets wrong in branch-and-bound and in
   pruning;
 * random pools with planted exact ties, duplicate keys and empty
-  candidate rows, serial and forced ``sharded``;
+  candidate rows, serial and forced ``sharded``, as one batch and cut
+  into chunks;
 * random entity graphs under every scorer pair, through
   :class:`~repro.engine.PreviewEngine`;
 * the per-pool lowering cache of :func:`repro.kernel.lowered`.
@@ -106,7 +107,7 @@ def answer(result):
 
 def oracle_answer(context, size, subsets):
     with kernel.use_backend("oracle"):
-        return answer(discover_among(context, size, subsets, "t"))
+        return answer(discover_among(context, size, [subsets], "t"))
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +172,7 @@ def test_all_infeasible_batch_has_no_seed(backend_name):
     for batch in ([("A", "B"), ("B", "B")], []):
         _, seed = backend.subset_bounds(pool.index, batch, table_bounds(pool, size))
         assert seed is None
-        assert discover_among(context, size, batch, "t") is None
+        assert discover_among(context, size, [batch], "t") is None
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +231,7 @@ def test_pruning_keeps_a_score_above_its_bound(backend_name, variant):
     """
     context = rounding_context(a_scores()[variant])
     with kernel.use_backend(backend_name):
-        found = discover_among(context, K1, [("A",), ("B",)], "t")
+        found = discover_among(context, K1, [[("A",), ("B",)]], "t")
     assert found.preview.tables[0].key == "B"
     assert answer(found) == oracle_answer(context, K1, [("A",), ("B",)])
 
@@ -249,7 +250,8 @@ SCORES = st.one_of(
 
 @st.composite
 def pool_and_batch(draw):
-    """A pool of up to 7 types and a batch of k-subsets over it.
+    """A pool of up to 7 types, a batch of k-subsets over it, and the
+    batch cut into chunks of random lengths (1 up to the whole batch).
 
     Some rows are copies of others, so whole subsets tie exactly; rows
     may be empty and keys may repeat inside a subset.
@@ -277,17 +279,22 @@ def pool_and_batch(draw):
         st.lists(st.lists(st.sampled_from(names), min_size=k, max_size=k).map(tuple),
                  max_size=3)
     )
-    return context, SizeConstraint(k=k, n=n), subsets
+    cuts = sorted(draw(st.sets(st.integers(1, len(subsets) - 1)))) if len(subsets) > 1 else []
+    chunks = [subsets[a:b] for a, b in zip([0] + cuts, cuts + [len(subsets)])]
+    return context, SizeConstraint(k=k, n=n), subsets, chunks
 
 
 @pytest.mark.parametrize("backend_name", PRUNING)
 @PROPERTY
 @given(case=pool_and_batch())
 def test_pruned_matches_oracle_on_random_pools(backend_name, case):
-    context, size, subsets = case
+    """One batch, and the same batch in chunks, answer as the oracle
+    does over the whole batch."""
+    context, size, subsets, chunks = case
     with kernel.use_backend(backend_name):
-        pruned = answer(discover_among(context, size, subsets, "t"))
-    assert pruned == oracle_answer(context, size, subsets)
+        pruned = answer(discover_among(context, size, [subsets], "t"))
+        streamed = answer(discover_among(context, size, chunks, "t"))
+    assert pruned == streamed == oracle_answer(context, size, subsets)
 
 
 @pytest.fixture(scope="module")
@@ -300,11 +307,13 @@ def executor():
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=pool_and_batch())
 def test_pruned_matches_oracle_forced_sharded(backend_name, case, executor):
-    """Survivor batches cross the worker pool with the same answer."""
-    context, size, subsets = case
+    """Survivor batches cross the worker pool with the same answer,
+    from one batch and from chunks."""
+    context, size, subsets, chunks = case
     with kernel.use_backend(backend_name), plan.use_mode("sharded"):
-        pruned = answer(discover_among(context, size, subsets, "t", executor))
-    assert pruned == oracle_answer(context, size, subsets)
+        pruned = answer(discover_among(context, size, [subsets], "t", executor))
+        streamed = answer(discover_among(context, size, chunks, "t", executor))
+    assert pruned == streamed == oracle_answer(context, size, subsets)
 
 
 # ----------------------------------------------------------------------

@@ -43,16 +43,24 @@ from repro.workload import (
 
 SLOW_SECONDS = 0.4
 
-#: The bursty session every fault is injected into.
-TRACE = record_digests(
-    generate_trace(
-        domain="architecture",
-        scale=1000,
-        seed=77,
-        ops=18,
-        scenario=scenario("write-burst", clients=2),
+
+@pytest.fixture(scope="module")
+def trace():
+    """The bursty session every fault is injected into, with its digests.
+
+    Recorded by the direct incremental engine when the first test asks,
+    not at import, so a fault there fails this module's tests and
+    leaves the rest of the run to report.
+    """
+    return record_digests(
+        generate_trace(
+            domain="architecture",
+            scale=1000,
+            seed=77,
+            ops=18,
+            scenario=scenario("write-burst", clients=2),
+        )
     )
-)
 
 
 @pytest.fixture
@@ -71,16 +79,16 @@ def slow_algorithm():
 
 
 @contextmanager
-def trace_server(**service_kwargs):
-    """A service hosting a private copy of the trace's starting graph."""
+def trace_server(trace, **service_kwargs):
+    """A service hosting a private copy of ``trace``'s starting graph."""
     host = EngineHost(
-        TRACE.domain,
-        generate_domain(TRACE.domain, scale=TRACE.scale, seed=TRACE.seed),
-        key_scorer=TRACE.key_scorer,
-        nonkey_scorer=TRACE.nonkey_scorer,
+        trace.domain,
+        generate_domain(trace.domain, scale=trace.scale, seed=trace.seed),
+        key_scorer=trace.key_scorer,
+        nonkey_scorer=trace.nonkey_scorer,
     )
     server = run_in_background(
-        PreviewService({TRACE.domain: host}, **service_kwargs)
+        PreviewService({trace.domain: host}, **service_kwargs)
     )
     try:
         yield server
@@ -129,12 +137,12 @@ def assert_replay_matches(client: ServeClient, ops) -> None:
 
 
 class TestWorkloadFaults:
-    def test_client_disconnect_mid_trace(self, slow_algorithm):
+    def test_client_disconnect_mid_trace(self, trace, slow_algorithm):
         """A client dying mid-computation never perturbs the trace."""
-        half = len(TRACE.ops) // 2
-        with trace_server() as server:
+        half = len(trace.ops) // 2
+        with trace_server(trace) as server:
             with ServeClient(port=server.port, timeout=60) as client:
-                assert_replay_matches(client, TRACE.ops[:half])
+                assert_replay_matches(client, trace.ops[:half])
             # The replaying client is gone; a rogue one starts a slow
             # computation and vanishes before the answer exists.
             rogue = socket.create_connection(("127.0.0.1", server.port), timeout=10)
@@ -157,12 +165,12 @@ class TestWorkloadFaults:
                 after = assert_stats_sane(client)["datasets"][0]
                 assert after["engine"]["misses"] == before["engine"]["misses"]
                 assert after["responses"]["hits"] > before["responses"]["hits"]
-                assert_replay_matches(client, TRACE.ops[half:])
+                assert_replay_matches(client, trace.ops[half:])
                 assert_stats_sane(client)
 
-    def test_overload_burst_leaves_service_consistent(self, slow_algorithm):
+    def test_overload_burst_leaves_service_consistent(self, trace, slow_algorithm):
         """Admission rejections under a burst don't corrupt later replay."""
-        with trace_server(max_pending=1) as server:
+        with trace_server(trace, max_pending=1) as server:
             barrier = threading.Barrier(4)
             codes = []
 
@@ -189,13 +197,13 @@ class TestWorkloadFaults:
             # The rejected burst is gone; the whole trace still replays
             # byte-identically and the accounting is sane.
             with ServeClient(port=server.port, timeout=60) as client:
-                assert_replay_matches(client, TRACE.ops)
+                assert_replay_matches(client, trace.ops)
                 stats = assert_stats_sane(client)
                 assert stats["service"]["rejected"] >= 1
 
-    def test_timeouts_answer_and_caches_stay_consistent(self, slow_algorithm):
+    def test_timeouts_answer_and_caches_stay_consistent(self, trace, slow_algorithm):
         """Timed-out requests answer, later land in cache, stats stay sane."""
-        with trace_server(request_timeout=SLOW_SECONDS / 4) as server:
+        with trace_server(trace, request_timeout=SLOW_SECONDS / 4) as server:
             slow_params = {"k": 2, "n": 4, "algorithm": slow_algorithm}
             with ServeClient(port=server.port, timeout=60) as client:
                 response = client.request("preview", slow_params)
@@ -218,5 +226,5 @@ class TestWorkloadFaults:
             # Ordinary trace ops fit the tight budget: the whole session
             # still replays byte-identically on the same service.
             with ServeClient(port=server.port, timeout=60) as client:
-                assert_replay_matches(client, TRACE.ops)
+                assert_replay_matches(client, trace.ops)
                 assert_stats_sane(client)
